@@ -53,7 +53,8 @@ class Tensor:
     them.
     """
 
-    __slots__ = ("data", "tangent", "requires_grad", "grad", "_prev", "_backward")
+    __slots__ = ("data", "tangent", "requires_grad", "grad", "_prev", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, tangent=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -86,24 +87,38 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def backward(self):
-        """Reverse-mode accumulation from this scalar node."""
+        """Reverse-mode accumulation from this scalar node.
+
+        Gradients land on the leaves; interior ``.grad`` values are cleared
+        once the sweep is done, so a second call starts from zero.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss node")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen or not node.in_graph:
-                return
-            seen.add(id(node))
-            for p in node._prev:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        # depth-first post-order, parents in recorded order; iterative, so
+        # no self-referencing closure keeps the tape alive after the call
+        topo, seen, stack = [], set(), []
+        if self.in_graph:
+            seen.add(id(self))
+            stack.append((self, iter(self._prev)))
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen and p.in_graph:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._prev)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        try:
+            for node in reversed(topo):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+        finally:
+            for node in topo:
+                if node._backward is not None:
+                    node.grad = None
 
     # -- operator sugar ---------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,9 @@ class DegradeOpts:
     def __post_init__(self):
         if not 0.0 <= self.blur_prob <= 1.0:
             raise ValueError("blur_prob must lie in [0, 1]")
+        if not self.interp_modes or not set(self.interp_modes) <= {"nearest", "bilinear"}:
+            raise ValueError(f"interp_modes must name nearest and/or bilinear, "
+                             f"got {self.interp_modes!r}")
 
 
 @dataclass
@@ -84,6 +88,28 @@ def gaussian_pair(n: int, mu0, sigma0: float, mu1, sigma1: float,
 
 
 # -- procedural textures --------------------------------------------------
+#
+# The texture pipeline runs in two passes.  A draw pass makes every rng call
+# of an item, in the order of the per-image pipeline; no draw depends on a
+# pixel value.  A compute pass then renders the whole batch with the same
+# per-element arithmetic, so a batch is bitwise the one a per-image loop
+# gives.
+
+_MAX_WAVES = 4
+
+
+def _draw_texture(size: int, rng: np.random.Generator) -> tuple:
+    """2-4 wave rows (theta, freq, phase, amp), padded to four at zero
+    amplitude, then the step edge (theta, offset, amp)."""
+    waves = [(0.0, 0.0, 0.0, 0.0)] * _MAX_WAVES
+    for k in range(int(rng.integers(2, _MAX_WAVES + 1))):
+        theta = rng.uniform(0.0, np.pi)
+        freq = rng.uniform(0.5, 3.0) * 2.0 * np.pi / size
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        waves[k] = (theta, freq, phase, rng.uniform(0.3, 1.0))
+    theta = rng.uniform(0.0, np.pi)
+    offset = rng.uniform(0.25 * size, 0.75 * size)
+    return waves, (theta, offset, rng.uniform(0.2, 0.8))
 
 
 def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,35 +119,35 @@ def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """
     if size not in (8, 16, 32):
         raise ValueError("size must be one of 8, 16, 32")
+    drawn = [_draw_texture(size, rng) for _ in range(n)]
+    waves = np.array([w for w, _ in drawn]).reshape(n, _MAX_WAVES, 4)
+    edges = np.array([e for _, e in drawn]).reshape(n, 3)
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    out = np.empty((n, size, size))
-    for i in range(n):
-        img = np.zeros((size, size))
-        n_waves = int(rng.integers(2, 5))
-        for _ in range(n_waves):
-            theta = rng.uniform(0.0, np.pi)
-            freq = rng.uniform(0.5, 3.0) * 2.0 * np.pi / size
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.uniform(0.3, 1.0)
-            img += amp * np.sin(freq * (np.cos(theta) * xx + np.sin(theta) * yy) + phase)
-        # step edge along a random line
-        theta = rng.uniform(0.0, np.pi)
-        offset = rng.uniform(0.25 * size, 0.75 * size)
-        edge = (np.cos(theta) * xx + np.sin(theta) * yy) > offset
-        img += rng.uniform(0.2, 0.8) * np.where(edge, 1.0, -1.0)
-        peak = np.abs(img).max()
-        if peak > 0:
-            img /= peak
-        out[i] = img
-    return out
+
+    def columns(rows):  # (n, k) draws -> k contiguous (n, 1, 1) arrays
+        return np.ascontiguousarray(rows.T)[..., None, None]
+
+    def along(theta):
+        return np.cos(theta) * xx + np.sin(theta) * yy
+
+    img = np.zeros((n, size, size))
+    for k in range(_MAX_WAVES):
+        theta, freq, phase, amp = columns(waves[:, k])
+        img += amp * np.sin(freq * along(theta) + phase)
+    theta, offset, amp = columns(edges)
+    img += amp * np.where(along(theta) > offset, 1.0, -1.0)
+    peak = np.abs(img).max(axis=(1, 2))
+    img /= np.where(peak > 0, peak, 1.0)[:, None, None]
+    return img
 
 
 # -- resampling and degradation -------------------------------------------
 
 
 def _resize(img: np.ndarray, out_h: int, out_w: int, mode: str) -> np.ndarray:
-    """Nearest or bilinear resize of a single grayscale image."""
-    in_h, in_w = img.shape
+    """Nearest or bilinear resize over the last two axes of an image or a
+    stack of images."""
+    in_h, in_w = img.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
         return img.copy()
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
@@ -129,29 +155,39 @@ def _resize(img: np.ndarray, out_h: int, out_w: int, mode: str) -> np.ndarray:
     if mode == "nearest":
         yi = np.clip(np.round(ys).astype(int), 0, in_h - 1)
         xi = np.clip(np.round(xs).astype(int), 0, in_w - 1)
-        return img[np.ix_(yi, xi)]
+        return img[..., yi[:, None], xi]
     if mode == "bilinear":
-        y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+        y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)[:, None]
         y1 = np.clip(y0 + 1, 0, in_h - 1)
         x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
         x1 = np.clip(x0 + 1, 0, in_w - 1)
-        wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+        wy = np.clip(ys[:, None] - y0, 0.0, 1.0)
         wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-        top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-        bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+        top = img[..., y0, x0] * (1 - wx) + img[..., y0, x1] * wx
+        bot = img[..., y1, x0] * (1 - wx) + img[..., y1, x1] * wx
         return top * (1 - wy) + bot * wy
     raise ValueError(f"unknown interpolation mode {mode!r}")
+
+
+def _resize_each(imgs: np.ndarray, out_h: int, out_w: int, modes: list) -> np.ndarray:
+    """Resize a stack, each image with its own mode."""
+    if len(set(modes)) == 1:
+        return _resize(imgs, out_h, out_w, modes[0])
+    near = np.array([m == "nearest" for m in modes])[:, None, None]
+    return np.where(near, _resize(imgs, out_h, out_w, "nearest"),
+                    _resize(imgs, out_h, out_w, "bilinear"))
 
 
 _BLUR_KERNEL = np.array([1.0, 2.0, 1.0]) / 4.0  # 3x3 binomial, separable
 
 
 def _blur(img: np.ndarray) -> np.ndarray:
-    pad = np.pad(img, 1, mode="edge")
-    tmp = (pad[:, :-2] * _BLUR_KERNEL[0] + pad[:, 1:-1] * _BLUR_KERNEL[1]
-           + pad[:, 2:] * _BLUR_KERNEL[2])
-    return (tmp[:-2] * _BLUR_KERNEL[0] + tmp[1:-1] * _BLUR_KERNEL[1]
-            + tmp[2:] * _BLUR_KERNEL[2])
+    """Edge-padded 3x3 binomial blur over the last two axes."""
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    tmp = (pad[..., :-2] * _BLUR_KERNEL[0] + pad[..., 1:-1] * _BLUR_KERNEL[1]
+           + pad[..., 2:] * _BLUR_KERNEL[2])
+    return (tmp[..., :-2, :] * _BLUR_KERNEL[0] + tmp[..., 1:-1, :] * _BLUR_KERNEL[1]
+            + tmp[..., 2:, :] * _BLUR_KERNEL[2])
 
 
 def _quantize(img: np.ndarray, levels: int) -> np.ndarray:
@@ -162,70 +198,83 @@ def _quantize(img: np.ndarray, levels: int) -> np.ndarray:
     return np.round(scaled) / (levels - 1) * 2.0 - 1.0
 
 
-def degrade(hr: np.ndarray, s_down: float, opts: DegradeOpts,
-            rng: np.random.Generator) -> np.ndarray:
-    """Blur -> downscale -> noise -> quantize -> resize-back -> blur -> clamp.
+class _Degrade(NamedTuple):
+    """The draws of one degradation: first blur, low-res size, resize
+    modes, and the noise (``std`` None selects the intensity-scaled branch,
+    ``noise`` None no noise)."""
+    blur: bool
+    lo: int
+    down: str
+    std: float | None
+    noise: np.ndarray | None
+    up: str
 
-    ``hr`` is one (h, w) image in [-1, 1]; the output has the same shape.
-    """
+
+def _draw_degrade(size: int, s_down: float, opts: DegradeOpts,
+                  rng: np.random.Generator) -> _Degrade:
     if not 0.0 < s_down <= 1.0:
         raise ValueError("s_down must lie in (0, 1]")
-    hr = np.asarray(hr, dtype=np.float64)
-    h, w = hr.shape
-    img = hr
-
-    if opts.blur_prob > 0.0 and rng.random() < opts.blur_prob:
-        img = _blur(img)
-
-    lo_h = max(1, int(round(h * s_down)))
-    lo_w = max(1, int(round(w * s_down)))
-    mode_down = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
-    img = _resize(img, lo_h, lo_w, mode_down)
-
+    blur = opts.blur_prob > 0.0 and rng.random() < opts.blur_prob
+    lo = max(1, int(round(size * s_down)))
+    down = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
+    std = noise = None
     if opts.noise_std_max > 0.0 or opts.shot_noise_scale > 0.0:
         if rng.random() < 0.5:
             std = rng.uniform(0.0, opts.noise_std_max)
-            img = img + std * rng.standard_normal(img.shape)
-        else:
-            local = np.sqrt(np.abs(img) + 1.0)
-            img = img + opts.shot_noise_scale * local * rng.standard_normal(img.shape)
+        noise = rng.standard_normal((lo, lo))
+    up = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
+    return _Degrade(blur, lo, down, std, noise, up)
 
-    if opts.quant_levels:
-        img = _quantize(img, opts.quant_levels)
 
-    mode_up = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
-    img = _resize(img, h, w, mode_up)
+def _render_degrade(hrs: np.ndarray, jobs: list, opts: DegradeOpts) -> np.ndarray:
+    """Blur -> downscale -> noise -> quantize -> resize-back -> blur -> clamp,
+    one drawn degradation per image of the (m, h, w) stack ``hrs``.
+
+    The low-res stages run once per low-res size; both resize modes are
+    computed there and picked per image."""
+    _, h, w = hrs.shape
+    blur = np.array([j.blur for j in jobs], dtype=bool)[:, None, None]
+    img = np.where(blur, _blur(hrs), hrs)
+    out = np.empty_like(img)
+    los = np.array([j.lo for j in jobs], dtype=int)
+    for lo in sorted(set(los.tolist())):
+        idx = np.flatnonzero(los == lo)
+        group = [jobs[i] for i in idx]
+        low = _resize_each(img[idx], lo, lo, [j.down for j in group])
+        if group[0].noise is not None:
+            noise = np.stack([j.noise for j in group])
+            gauss = np.array([j.std is not None for j in group])[:, None, None]
+            std = np.array([j.std if j.std is not None else 0.0 for j in group])
+            low = np.where(gauss, low + std[:, None, None] * noise,
+                           low + opts.shot_noise_scale * np.sqrt(np.abs(low) + 1.0) * noise)
+        if opts.quant_levels:
+            low = _quantize(low, opts.quant_levels)
+        out[idx] = _resize_each(low, h, w, [j.up for j in group])
     if opts.final_blur:
-        img = _blur(img)
-    return np.clip(img, -1.0, 1.0)
+        out = _blur(out)
+    return np.clip(out, -1.0, 1.0)
 
 
-def make_negative_target(hr: np.ndarray, s_down: float, rng: np.random.Generator,
-                         opts: DegradeOpts) -> np.ndarray:
-    """A mildly degraded copy of hr: same pipeline, downscale drawn from
-    U(s_down, 1) so it stays less degraded than the source built at s_down."""
-    if not 0.0 < s_down <= 1.0:
-        raise ValueError("s_down must lie in (0, 1]")
-    s_neg = rng.uniform(s_down, 1.0)
-    return degrade(hr, s_neg, opts, rng)
-
-
-def sr_pair_batch(n: int, size: int, opts: DegradeOpts, rng: np.random.Generator,
+def texture_pairs(n: int, size: int, opts: DegradeOpts, rng: np.random.Generator,
                   s_down: float | None = None, with_negative: bool = False) -> PairBatch:
-    """Texture SR coupling: x0 clean, x1 degraded, flattened to vectors."""
+    """Texture SR coupling, flattened to vectors: x0 clean, x1 degraded at a
+    downscale s_down (drawn from U(0.1, 1) per item when None).
+
+    The negative target x0_neg is a milder degradation of x0 at a downscale
+    drawn from U(s_down, 1), so it stays less degraded than x1."""
     hrs = gen_texture(n, size, rng)
-    x1 = np.empty_like(hrs)
     s_downs = np.empty(n)
-    x0_neg = np.empty_like(hrs) if with_negative else None
+    jobs, neg_jobs = [], []
     for i in range(n):
-        sd = rng.uniform(0.1, 1.0) if s_down is None else s_down
+        sd = float(rng.uniform(0.1, 1.0)) if s_down is None else float(s_down)
         s_downs[i] = sd
-        x1[i] = degrade(hrs[i], sd, opts, rng)
+        jobs.append(_draw_degrade(size, sd, opts, rng))
         if with_negative:
-            x0_neg[i] = make_negative_target(hrs[i], sd, rng, opts)
-    flat = lambda a: a.reshape(n, -1)
-    return PairBatch(x0=flat(hrs), x1=flat(x1), s_down=s_downs,
-                     x0_neg=None if x0_neg is None else flat(x0_neg))
+            neg_jobs.append(_draw_degrade(size, rng.uniform(sd, 1.0), opts, rng))
+    src = np.concatenate([hrs, hrs]) if with_negative else hrs
+    out = _render_degrade(src, jobs + neg_jobs, opts).reshape(len(src), -1)
+    return PairBatch(x0=hrs.reshape(n, -1), x1=out[:n], s_down=s_downs,
+                     x0_neg=out[n:] if with_negative else None)
 
 
 # -- corpus persistence ---------------------------------------------------
@@ -253,19 +302,17 @@ def load_pgm(path) -> np.ndarray:
 
 
 def dump_corpus(directory, n: int, size: int, opts: DegradeOpts, seed: int) -> None:
-    """Write n HR/LR pairs plus a manifest (index, seed, s_down)."""
+    """Write n HR/LR pairs plus a manifest (index, seed, s_down); item i is
+    the one-pair batch drawn from ``default_rng(seed + i)``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = []
     for i in range(n):
         item_seed = seed + i
-        rng = np.random.default_rng(item_seed)
-        hr = gen_texture(1, size, rng)[0]
-        sd = rng.uniform(0.1, 1.0)
-        lr = degrade(hr, sd, opts, rng)
-        save_pgm(directory / f"hr_{i:05d}.pgm", hr)
-        save_pgm(directory / f"lr_{i:05d}.pgm", lr)
-        rows.append((i, item_seed, sd))
+        pair = texture_pairs(1, size, opts, np.random.default_rng(item_seed))
+        save_pgm(directory / f"hr_{i:05d}.pgm", pair.x0.reshape(size, size))
+        save_pgm(directory / f"lr_{i:05d}.pgm", pair.x1.reshape(size, size))
+        rows.append((i, item_seed, pair.s_down[0]))
     with open(directory / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "seed", "s_down"])

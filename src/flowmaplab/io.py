@@ -3,16 +3,35 @@
 Layout: an ASCII preamble (magic, metadata key=value lines, per-tensor
 headers) interleaved with raw little-endian float64 payloads.  Tensors are
 written in sorted-name order so identical states produce identical bytes.
+A file that does not parse exactly, to its last byte, is refused.
 """
 
 from __future__ import annotations
+
+import io
+import math
+from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"FLOWMAPCKPT1\n"
 
 
+def _check_writable(tensors: dict, metadata: dict) -> None:
+    """Refuse names and values that would not read back as written."""
+    for key, value in metadata.items():
+        key, value = str(key), str(value)
+        if "\n" in key or "\n" in value or "=" in key or not (key + value).isascii():
+            raise ValueError(f"metadata {key!r}={value!r} cannot be stored: keys and "
+                             "values must be ASCII without newlines, keys without '='")
+    for name in map(str, tensors):
+        if not name.isascii() or len(name.split()) != 1:
+            raise ValueError(f"tensor name {name!r} cannot be stored: it must be a "
+                             "non-empty ASCII word")
+
+
 def save_checkpoint(path, tensors: dict, metadata: dict) -> None:
+    _check_writable(tensors, metadata)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(f"meta {len(metadata)}\n".encode("ascii"))
@@ -27,26 +46,58 @@ def save_checkpoint(path, tensors: dict, metadata: dict) -> None:
             fh.write(arr.astype("<f8").tobytes())
 
 
+def _line(fh, path, what: str) -> str:
+    raw = fh.readline()
+    if not raw.endswith(b"\n"):
+        raise ValueError(f"{path}: truncated checkpoint, {what} is cut off")
+    try:
+        return raw[:-1].decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: malformed checkpoint {what}: not ASCII") from None
+
+
+def _count(fh, path, keyword: str) -> int:
+    fields = _line(fh, path, f"{keyword} header").split(" ")
+    if len(fields) != 2 or fields[0] != keyword or not fields[1].isdigit():
+        raise ValueError(f"{path}: malformed checkpoint {keyword} header {fields!r}")
+    return int(fields[1])
+
+
+def _shape(dims: str) -> tuple | None:
+    if dims == "-":
+        return ()
+    parts = dims.split(",")
+    return tuple(int(p) for p in parts) if all(p.isdigit() for p in parts) else None
+
+
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        if fh.readline() != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        line = fh.readline().split()
-        if line[0] != b"meta":
-            raise ValueError("malformed checkpoint metadata header")
-        metadata = {}
-        for _ in range(int(line[1])):
-            key, _, val = fh.readline().decode("ascii").rstrip("\n").partition("=")
-            metadata[key] = val
-        line = fh.readline().split()
-        if line[0] != b"tensors":
-            raise ValueError("malformed checkpoint tensor header")
-        tensors = {}
-        for _ in range(int(line[1])):
-            header = fh.readline().decode("ascii").split()
-            name = header[1]
-            shape = () if header[2] == "-" else tuple(int(n) for n in header[2].split(","))
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    # parsed in memory, so a corrupt shape cannot make read() allocate its size
+    fh = io.BytesIO(Path(path).read_bytes())
+    if fh.readline() != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    metadata = {}
+    for _ in range(_count(fh, path, "meta")):
+        key, sep, val = _line(fh, path, "metadata line").partition("=")
+        if not sep:
+            raise ValueError(f"{path}: malformed checkpoint metadata line {key!r}")
+        metadata[key] = val
+    tensors = {}
+    for _ in range(_count(fh, path, "tensors")):
+        header = _line(fh, path, "tensor header")
+        fields = header.split(" ")
+        shape = _shape(fields[2]) if len(fields) == 3 and fields[0] == "tensor" else None
+        if shape is None:
+            raise ValueError(f"{path}: malformed checkpoint tensor header {header!r}")
+        name = fields[1]
+        if name in tensors:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
+        want = 8 * math.prod(shape)
+        raw = fh.read(want)
+        if len(raw) != want:
+            raise ValueError(f"{path}: truncated checkpoint, tensor {name!r} has "
+                             f"{len(raw)} of {want} payload bytes")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"{path}: {trailing} trailing bytes after the last tensor")
     return tensors, metadata

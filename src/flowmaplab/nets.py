@@ -148,6 +148,10 @@ class FlowMapModel:
         tv = t.item() if isinstance(t, Tensor) else float(t)
         if sv > tv + 1e-12:
             raise ValueError(f"need s <= t, got s={sv}, t={tv}")
+        if isinstance(cond, bool) or not isinstance(cond, (int, np.integer)) \
+                or cond not in COND_NAMES.values():
+            raise ValueError(f"cond must be one of {sorted(COND_NAMES.values())} "
+                             f"({', '.join(COND_NAMES)}), got {cond!r}")
         x = ad.as_tensor(x)
         if x.shape[-1] != self.state_dim:
             raise ValueError(f"state dim {x.shape[-1]} != {self.state_dim}")

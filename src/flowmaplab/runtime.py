@@ -17,13 +17,12 @@ import scipy.linalg
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DegradeOpts, PairBatch, gaussian_pair, gen_texture, gen_toy2d, degrade, make_negative_target
+from .data import DegradeOpts, PairBatch, gaussian_pair, gen_toy2d, texture_pairs
 from .interpolant import STANDARD
 from .io import load_checkpoint, save_checkpoint
 from .losses import (GuidanceContext, combined_loss, draw_guidance, fm_loss,
                      rpgan_losses)
 from .nets import COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet
-from .oracle import integrate_flow
 from .schedule import GridConfig, GridTime, SSD, TimestepPair, sample_pair
 
 METRICS_HEADER = ["step", "phase", "loss_main", "loss_perc", "loss_weighted",
@@ -107,15 +106,6 @@ class AdamW:
             p.data = p.data - self.lr * update
 
 
-def optimizer_step(params: dict, grads: dict, state: AdamW | None, lr: float) -> AdamW:
-    """Functional entry: apply one decoupled-decay adaptive-moment update."""
-    if state is None:
-        state = AdamW(params, lr)
-    state.lr = lr
-    state.step(grads)
-    return state
-
-
 # -- tasks ----------------------------------------------------------------
 
 
@@ -176,19 +166,8 @@ class TextureSRTask:
         self.image_hw = (size, size)
 
     def sample(self, n, rng, with_negative=False, s_down=None) -> PairBatch:
-        hrs = gen_texture(n, self.size, rng)
-        x1 = np.empty_like(hrs)
-        neg = np.empty_like(hrs) if with_negative else None
-        downs = np.empty(n)
-        for i in range(n):
-            sd = float(rng.uniform(0.1, 1.0)) if s_down is None else float(s_down)
-            downs[i] = sd
-            x1[i] = degrade(hrs[i], sd, self.opts, rng)
-            if with_negative:
-                neg[i] = make_negative_target(hrs[i], sd, rng, self.opts)
-        n_flat = lambda a: a.reshape(n, -1)
-        return PairBatch(x0=n_flat(hrs), x1=n_flat(x1), s_down=downs,
-                         x0_neg=None if neg is None else n_flat(neg))
+        return texture_pairs(n, self.size, self.opts, rng, s_down=s_down,
+                             with_negative=with_negative)
 
     def source_samples(self, n, rng):
         return self.sample(n, rng).x1

@@ -1,5 +1,8 @@
 """Reverse-mode gradients and forward-mode tangents against finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -189,3 +192,31 @@ def test_float64_everywhere():
     t = Tensor(np.array([1, 2], dtype=np.int32))
     assert t.data.dtype == np.float64
     assert ad.add(t, 1.0).data.dtype == np.float64
+
+
+def _mlp_loss(seed=0):
+    rng = np.random.default_rng(seed)
+    W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    hidden = ad.silu(ad.matmul(Tensor(rng.normal(size=(5, 3))), W))
+    return ad.mean(ad.square(hidden)), W, hidden
+
+
+def test_grad_twice_is_equal():
+    # interior cotangents do not carry over into a second sweep
+    loss, W, _ = _mlp_loss()
+    first = ad.grad(loss, {"W": W})["W"]
+    second = ad.grad(loss, {"W": W})["W"]
+    assert first.tobytes() == second.tobytes()
+
+
+def test_tape_freed_without_cyclic_gc():
+    gc.disable()
+    try:
+        loss, W, hidden = _mlp_loss()
+        ref = weakref.ref(hidden)
+        del hidden
+        ad.grad(loss, {"W": W})
+        del loss
+        assert ref() is None
+    finally:
+        gc.enable()

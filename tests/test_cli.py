@@ -1,5 +1,10 @@
 """End-to-end command-line behavior and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,25 @@ depth = 2
 time_dim = 8
 cond_dim = 4
 """
+
+
+# texture_sr with negatives in three phases; layers wide enough (64 x 336 x 64
+# products) that a threaded BLAS splits its matrix products
+SR_CFG = """\
+[train]
+task = texture_sr
+size = 16
+fm_steps = 2
+fmsd_steps = 2
+cfg_steps = 2
+adv_steps = 2
+d_pretrain_steps = 1
+batch_size = 64
+hidden = 64
+depth = 2
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -128,3 +152,21 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+def test_metrics_independent_of_blas_threads(tmp_path):
+    cfg = tmp_path / "sr.ini"
+    cfg.write_text(SR_CFG)
+    metrics = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-m", "flowmaplab.cli", "train",
+                               "--config", str(cfg), "--out", str(out), "--seed", "3"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[0].count(b"\n") == 1 + 2 + 2 + 2 + 1 + 2
+    assert metrics[0] == metrics[1]

@@ -1,12 +1,184 @@
 """Couplings, the degradation pipeline, and image persistence."""
 
+import csv
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from flowmaplab.data import (DegradeOpts, PairBatch, _blur, _quantize, _resize,
-                             degrade, dump_corpus, gaussian_pair, gen_texture,
-                             gen_toy2d, load_pgm, make_negative_target, save_pgm,
-                             sr_pair_batch)
+                             dump_corpus, gaussian_pair, gen_texture, gen_toy2d,
+                             load_pgm, save_pgm, texture_pairs)
+from flowmaplab.runtime import TextureSRTask
+
+# -- per-image reference ---------------------------------------------------
+#
+# The texture pipeline as it was first written, one image at a time.  The
+# package renders whole batches; these functions pin what every batch must
+# equal bit for bit.
+
+
+def ref_gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Grayscale textures: 2-4 oriented sinusoids plus a step edge, in [-1, 1].
+
+    Returns shape (n, size, size).
+    """
+    if size not in (8, 16, 32):
+        raise ValueError("size must be one of 8, 16, 32")
+    yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    out = np.empty((n, size, size))
+    for i in range(n):
+        img = np.zeros((size, size))
+        n_waves = int(rng.integers(2, 5))
+        for _ in range(n_waves):
+            theta = rng.uniform(0.0, np.pi)
+            freq = rng.uniform(0.5, 3.0) * 2.0 * np.pi / size
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amp = rng.uniform(0.3, 1.0)
+            img += amp * np.sin(freq * (np.cos(theta) * xx + np.sin(theta) * yy) + phase)
+        # step edge along a random line
+        theta = rng.uniform(0.0, np.pi)
+        offset = rng.uniform(0.25 * size, 0.75 * size)
+        edge = (np.cos(theta) * xx + np.sin(theta) * yy) > offset
+        img += rng.uniform(0.2, 0.8) * np.where(edge, 1.0, -1.0)
+        peak = np.abs(img).max()
+        if peak > 0:
+            img /= peak
+        out[i] = img
+    return out
+
+
+def ref_resize(img: np.ndarray, out_h: int, out_w: int, mode: str) -> np.ndarray:
+    """Nearest or bilinear resize of a single grayscale image."""
+    in_h, in_w = img.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return img.copy()
+    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
+    if mode == "nearest":
+        yi = np.clip(np.round(ys).astype(int), 0, in_h - 1)
+        xi = np.clip(np.round(xs).astype(int), 0, in_w - 1)
+        return img[np.ix_(yi, xi)]
+    if mode == "bilinear":
+        y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+        y1 = np.clip(y0 + 1, 0, in_h - 1)
+        x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+        x1 = np.clip(x0 + 1, 0, in_w - 1)
+        wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+        wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+        top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
+        bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+        return top * (1 - wy) + bot * wy
+    raise ValueError(f"unknown interpolation mode {mode!r}")
+
+
+REF_BLUR_KERNEL = np.array([1.0, 2.0, 1.0]) / 4.0  # 3x3 binomial, separable
+
+
+def ref_blur(img: np.ndarray) -> np.ndarray:
+    pad = np.pad(img, 1, mode="edge")
+    tmp = (pad[:, :-2] * REF_BLUR_KERNEL[0] + pad[:, 1:-1] * REF_BLUR_KERNEL[1]
+           + pad[:, 2:] * REF_BLUR_KERNEL[2])
+    return (tmp[:-2] * REF_BLUR_KERNEL[0] + tmp[1:-1] * REF_BLUR_KERNEL[1]
+            + tmp[2:] * REF_BLUR_KERNEL[2])
+
+
+def ref_quantize(img: np.ndarray, levels: int) -> np.ndarray:
+    """Uniform quantization on [-1, 1]; the compression surrogate."""
+    if levels <= 1:
+        return img
+    scaled = (np.clip(img, -1.0, 1.0) + 1.0) / 2.0 * (levels - 1)
+    return np.round(scaled) / (levels - 1) * 2.0 - 1.0
+
+
+def ref_degrade(hr: np.ndarray, s_down: float, opts: DegradeOpts,
+                rng: np.random.Generator) -> np.ndarray:
+    """Blur -> downscale -> noise -> quantize -> resize-back -> blur -> clamp.
+
+    ``hr`` is one (h, w) image in [-1, 1]; the output has the same shape.
+    """
+    if not 0.0 < s_down <= 1.0:
+        raise ValueError("s_down must lie in (0, 1]")
+    hr = np.asarray(hr, dtype=np.float64)
+    h, w = hr.shape
+    img = hr
+
+    if opts.blur_prob > 0.0 and rng.random() < opts.blur_prob:
+        img = ref_blur(img)
+
+    lo_h = max(1, int(round(h * s_down)))
+    lo_w = max(1, int(round(w * s_down)))
+    mode_down = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
+    img = ref_resize(img, lo_h, lo_w, mode_down)
+
+    if opts.noise_std_max > 0.0 or opts.shot_noise_scale > 0.0:
+        if rng.random() < 0.5:
+            std = rng.uniform(0.0, opts.noise_std_max)
+            img = img + std * rng.standard_normal(img.shape)
+        else:
+            local = np.sqrt(np.abs(img) + 1.0)
+            img = img + opts.shot_noise_scale * local * rng.standard_normal(img.shape)
+
+    if opts.quant_levels:
+        img = ref_quantize(img, opts.quant_levels)
+
+    mode_up = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
+    img = ref_resize(img, h, w, mode_up)
+    if opts.final_blur:
+        img = ref_blur(img)
+    return np.clip(img, -1.0, 1.0)
+
+
+def ref_make_negative_target(hr: np.ndarray, s_down: float, rng: np.random.Generator,
+                             opts: DegradeOpts) -> np.ndarray:
+    """A mildly degraded copy of hr: same pipeline, downscale drawn from
+    U(s_down, 1) so it stays less degraded than the source built at s_down."""
+    if not 0.0 < s_down <= 1.0:
+        raise ValueError("s_down must lie in (0, 1]")
+    s_neg = rng.uniform(s_down, 1.0)
+    return ref_degrade(hr, s_neg, opts, rng)
+
+
+def ref_pairs(n, size, opts, rng, s_down=None, with_negative=False) -> PairBatch:
+    """The per-image texture SR batch: one texture draw per item, then per
+    item its downscale, its degradation and its negative target."""
+    hrs = ref_gen_texture(n, size, rng)
+    x1 = np.empty_like(hrs)
+    neg = np.empty_like(hrs) if with_negative else None
+    downs = np.empty(n)
+    for i in range(n):
+        sd = float(rng.uniform(0.1, 1.0)) if s_down is None else float(s_down)
+        downs[i] = sd
+        x1[i] = ref_degrade(hrs[i], sd, opts, rng)
+        if with_negative:
+            neg[i] = ref_make_negative_target(hrs[i], sd, rng, opts)
+    n_flat = lambda a: a.reshape(n, -1)
+    return PairBatch(x0=n_flat(hrs), x1=n_flat(x1), s_down=downs,
+                     x0_neg=None if neg is None else n_flat(neg))
+
+
+def ref_dump_corpus(directory, n: int, size: int, opts: DegradeOpts, seed: int) -> None:
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for i in range(n):
+        item_seed = seed + i
+        rng = np.random.default_rng(item_seed)
+        hr = ref_gen_texture(1, size, rng)[0]
+        sd = rng.uniform(0.1, 1.0)
+        lr = ref_degrade(hr, sd, opts, rng)
+        save_pgm(directory / f"hr_{i:05d}.pgm", hr)
+        save_pgm(directory / f"lr_{i:05d}.pgm", lr)
+        rows.append((i, item_seed, sd))
+    with open(directory / "manifest.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "seed", "s_down"])
+        for idx, s, sd in rows:
+            writer.writerow([idx, s, f"{sd:.8f}"])
+
+
+# -- tests -----------------------------------------------------------------
 
 
 def test_pairbatch_shape_check():
@@ -80,52 +252,77 @@ def test_quantize_levels():
 
 
 def test_degrade_contract():
-    rng = np.random.default_rng(4)
-    hr = gen_texture(1, 16, rng)[0]
-    out = degrade(hr, 0.25, DegradeOpts(), rng)
-    assert out.shape == hr.shape
-    assert out.min() >= -1.0 and out.max() <= 1.0
-    assert not np.array_equal(out, hr)  # something actually happened
-    with pytest.raises(ValueError):
-        degrade(hr, 0.0, DegradeOpts(), rng)
+    b = texture_pairs(8, 16, DegradeOpts(), np.random.default_rng(4), s_down=0.25)
+    assert b.x1.shape == b.x0.shape
+    assert b.x1.min() >= -1.0 and b.x1.max() <= 1.0
+    assert not np.array_equal(b.x1, b.x0)  # something actually happened
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError, match="s_down"):
+            texture_pairs(2, 16, DegradeOpts(), np.random.default_rng(4), s_down=bad)
 
 
 def test_degrade_determinism():
-    hr = gen_texture(1, 16, np.random.default_rng(5))[0]
-    a = degrade(hr, 0.3, DegradeOpts(), np.random.default_rng(9))
-    b = degrade(hr, 0.3, DegradeOpts(), np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
+    a = texture_pairs(8, 16, DegradeOpts(), np.random.default_rng(9), with_negative=True)
+    b = texture_pairs(8, 16, DegradeOpts(), np.random.default_rng(9), with_negative=True)
+    for field in ("x0", "x1", "s_down", "x0_neg"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 def test_stronger_downscale_degrades_more():
-    # aggregate over many images: psnr at s_down=0.15 below psnr at s_down=0.9
-    rng = np.random.default_rng(6)
-    hrs = gen_texture(20, 16, rng)
-    opts = DegradeOpts()
-    err_hard = err_soft = 0.0
-    for hr in hrs:
-        err_hard += np.mean((degrade(hr, 0.15, opts, rng) - hr) ** 2)
-        err_soft += np.mean((degrade(hr, 0.9, opts, rng) - hr) ** 2)
-    assert err_hard > err_soft
+    # same textures (drawn first), mse at s_down=0.15 above mse at s_down=0.9
+    hard = texture_pairs(20, 16, DegradeOpts(), np.random.default_rng(6), s_down=0.15)
+    soft = texture_pairs(20, 16, DegradeOpts(), np.random.default_rng(6), s_down=0.9)
+    assert np.array_equal(hard.x0, soft.x0)
+    assert np.mean((hard.x1 - hard.x0) ** 2) > np.mean((soft.x1 - soft.x0) ** 2)
 
 
 def test_negative_target_is_milder():
-    rng = np.random.default_rng(7)
-    hrs = gen_texture(30, 16, rng)
-    opts = DegradeOpts()
-    mse_neg = mse_src = 0.0
-    for hr in hrs:
-        mse_src += np.mean((degrade(hr, 0.2, opts, rng) - hr) ** 2)
-        mse_neg += np.mean((make_negative_target(hr, 0.2, rng, opts) - hr) ** 2)
-    assert mse_neg < mse_src
-
-
-def test_sr_pair_batch_layout():
-    b = sr_pair_batch(6, 16, DegradeOpts(), np.random.default_rng(8),
+    b = texture_pairs(30, 16, DegradeOpts(), np.random.default_rng(7), s_down=0.2,
                       with_negative=True)
+    assert np.mean((b.x0_neg - b.x0) ** 2) < np.mean((b.x1 - b.x0) ** 2)
+
+
+def test_texture_sr_sample_layout():
+    b = TextureSRTask(16).sample(6, np.random.default_rng(8), with_negative=True)
     assert b.x0.shape == b.x1.shape == b.x0_neg.shape == (6, 256)
     assert b.s_down.shape == (6,)
     assert np.all((b.s_down > 0.0) & (b.s_down <= 1.0))
+    assert TextureSRTask(16).sample(6, np.random.default_rng(8)).x0_neg is None
+
+
+def test_interp_modes_validated():
+    for modes in ((), ("bicubic",), ("nearest", "area")):
+        with pytest.raises(ValueError, match="interp_modes"):
+            DegradeOpts(interp_modes=modes)
+
+
+OPTS_VARIANTS = {
+    "default": {},
+    "no-blur": {"blur_prob": 0.0},
+    "no-quant": {"quant_levels": 0},
+    "no-noise": {"noise_std_max": 0.0, "shot_noise_scale": 0.0},
+    "no-final-blur": {"final_blur": False},
+    "bilinear-only": {"interp_modes": ("bilinear",)},
+}
+
+
+@pytest.mark.parametrize("variant", list(OPTS_VARIANTS))
+def test_batch_equals_per_image_reference(variant):
+    # s_down 0.1 gives a 1x1 low-res image at size 8; 1.0 an identity resize
+    opts = DegradeOpts(**OPTS_VARIANTS[variant])
+    for size, seed, neg, s_down in itertools.product(
+            (8, 16, 32), (0, 1, 2), (False, True), (None, 0.1, 0.25, 1.0)):
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ref_pairs(5, size, opts, rng_ref, s_down=s_down, with_negative=neg)
+        got = TextureSRTask(size, opts).sample(5, rng, with_negative=neg, s_down=s_down)
+        case = (size, seed, neg, s_down)
+        for field in ("x0", "x1", "s_down", "x0_neg"):
+            a, b = getattr(want, field), getattr(got, field)
+            if a is None:
+                assert b is None, (case, field)
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (case, field)
+        assert rng_ref.random() == rng.random(), case  # same number of draws
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -149,3 +346,12 @@ def test_corpus_dump(tmp_path):
     manifest = (tmp_path / "manifest.csv").read_text().strip().splitlines()
     assert manifest[0] == "index,seed,s_down"
     assert len(manifest) == 5
+
+
+def test_corpus_dump_matches_reference(tmp_path):
+    dump_corpus(tmp_path / "got", 6, 16, DegradeOpts(), seed=12)
+    ref_dump_corpus(tmp_path / "want", 6, 16, DegradeOpts(), seed=12)
+    names = sorted(p.name for p in (tmp_path / "want").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "got").iterdir())
+    for name in names:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()

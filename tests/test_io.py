@@ -59,3 +59,55 @@ def test_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _saved(tmp_path, name="m.ckpt"):
+    path = tmp_path / name
+    save_checkpoint(path, _tensors(), {"depth": 2, "task": "gaussian2d"})
+    return path
+
+
+def test_resave_is_byte_identical(tmp_path):
+    path = _saved(tmp_path)
+    tensors, meta = load_checkpoint(path)
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, tensors, meta)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [3, 8])
+def test_rejects_truncated_payload(tmp_path, cut):
+    # the last tensor in sorted order is "scalar"
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match=r"m\.ckpt: truncated checkpoint, tensor 'scalar'"):
+        load_checkpoint(path)
+
+
+def test_rejects_truncated_header(tmp_path):
+    path = _saved(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:raw.index(b"tensor layer0.b") + 10])
+    with pytest.raises(ValueError, match=r"m\.ckpt: truncated checkpoint, tensor header"):
+        load_checkpoint(path)
+
+
+def test_rejects_trailing_bytes(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match=r"m\.ckpt: 8 trailing bytes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [{"note": "a\nb"}, {"a\nb": 1}, {"a=b": 1}])
+def test_save_refuses_unreadable_metadata(tmp_path, meta):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="cannot be stored"):
+        save_checkpoint(path, _tensors(), meta)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\nb"])
+def test_save_refuses_unreadable_tensor_name(tmp_path, name):
+    with pytest.raises(ValueError, match="cannot be stored"):
+        save_checkpoint(tmp_path / "m.ckpt", {name: np.zeros(2)}, {})

@@ -71,6 +71,18 @@ class TestFlowMapModel:
         b = model(x, 0.1, 0.9, COND_NEGATIVE).data
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("cond", [-1, 3, 1.0, 0.5, True, "0", None])
+    def test_rejects_bad_condition(self, cond):
+        model = FlowMapModel(2, hidden=8, depth=1)
+        with pytest.raises(ValueError, match=f"got {cond!r}"):
+            model(np.zeros((3, 2)), 0.1, 0.9, cond)
+
+    def test_accepts_numpy_integer_condition(self):
+        model = FlowMapModel(2, hidden=8, depth=1, rng=np.random.default_rng(5))
+        x = np.ones((3, 2))
+        np.testing.assert_array_equal(model(x, 0.1, 0.9, np.int64(COND_NULL)).data,
+                                      model(x, 0.1, 0.9, COND_NULL).data)
+
     def test_gradients_reach_all_parameters(self):
         rng = np.random.default_rng(3)
         model = FlowMapModel(2, hidden=8, depth=1, rng=rng)
