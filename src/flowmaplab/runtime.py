@@ -462,15 +462,37 @@ def save_result(path, result: TrainResult, task_name: str, sched_kind: str = "st
 
 
 def load_model(path) -> tuple[FlowMapModel, dict]:
+    """Rebuild the model from a checkpoint's metadata and load its tensors.
+
+    A missing or non-integer size key, a missing or unexpected ``model.*``
+    tensor, or a tensor whose shape differs from the rebuilt model's
+    parameter is refused with a ``ValueError`` naming the file.
+    """
     tensors, meta = load_checkpoint(path)
-    model = FlowMapModel(int(meta["state_dim"]), hidden=int(meta["hidden"]),
-                         depth=int(meta["depth"]), time_dim=int(meta["time_dim"]),
-                         cond_dim=int(meta["cond_dim"]))
-    rank = int(meta.get("lora_rank", 0))
-    if rank > 0:
-        model.attach_lora(rank, np.random.default_rng(0))
-    for k, v in model.params.items():
-        model.params[k].data = tensors[f"model.{k}"]
-    for k, v in model.lora_params().items():
-        v.data = tensors[f"model.{k}"]
+    sizes, dims = {"lora_rank": "0", **meta}, {}
+    for key in ("state_dim", "hidden", "depth", "time_dim", "cond_dim", "lora_rank"):
+        if key not in sizes:
+            raise ValueError(f"{path}: checkpoint metadata has no {key!r}")
+        try:
+            dims[key] = int(sizes[key])
+        except ValueError:
+            raise ValueError(f"{path}: checkpoint metadata {key}={sizes[key]!r} "
+                             "is not an integer") from None
+    model = FlowMapModel(dims["state_dim"], hidden=dims["hidden"], depth=dims["depth"],
+                         time_dim=dims["time_dim"], cond_dim=dims["cond_dim"])
+    if dims["lora_rank"] > 0:
+        model.attach_lora(dims["lora_rank"], np.random.default_rng(0))
+    params = {f"model.{k}": v for k, v in {**model.params, **model.lora_params()}.items()}
+    extra = sorted(k for k in tensors if k.startswith("model.") and k not in params)
+    if extra:
+        raise ValueError(f"{path}: unexpected checkpoint tensor {extra[0]!r} for a model "
+                         "built from its metadata")
+    for name, p in params.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: checkpoint has no tensor {name!r}")
+        if tensors[name].shape != p.data.shape:
+            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
+                             f"{tensors[name].shape}, the model built from its metadata "
+                             f"needs {p.data.shape}")
+        p.data = tensors[name]
     return model, meta

@@ -101,6 +101,12 @@ def test_oracle_check_subcommand(tmp_path, capsys):
     assert (tmp_path / "rep" / "identity_ssd.csv").exists()
 
 
+def test_oracle_check_covers_end_intervals(capsys):
+    # seed 36 draws lsd/esd probes whose central stencil would leave [0, 1]
+    assert main(["oracle-check", "--seed", "36"]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == 4
+
+
 def test_gen_data_subcommand(tmp_path):
     out = tmp_path / "corpus"
     rc = main(["gen-data", "--out", str(out), "--n", "2", "--size", "8",

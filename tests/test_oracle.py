@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowmaplab.oracle import (GaussianTask, average_velocity_oracle, check_identity,
-                               gaussian_velocity, integrate_flow)
+                               gaussian_flow_map, gaussian_velocity, integrate_flow)
 
 TASK = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
                     sigma0=0.6, sigma1=1.2)
@@ -70,6 +70,28 @@ def test_average_velocity_definition():
     np.testing.assert_allclose(x - (t - s) * u, endpoint, rtol=1e-12)
 
 
+def test_closed_form_map_matches_rk4():
+    # 50 intervals (s = 0, t = 1 and [0, 1] among them) x 4 points = 200 probes
+    v = lambda x, t: gaussian_velocity(TASK, x, t)
+    rng = np.random.default_rng(4)
+    intervals = [(0.0, 1.0), (0.0, 0.3), (0.6, 1.0)]
+    while len(intervals) < 50:
+        s = float(rng.uniform(0.0, 0.9))
+        intervals.append((s, float(rng.uniform(s + 0.05, 1.0))))
+    for s, t in intervals:
+        x = rng.normal(0.0, 1.5, size=(4, 2))
+        np.testing.assert_allclose(gaussian_flow_map(TASK, x, s, t),
+                                   integrate_flow(v, x, t, s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose((x - gaussian_flow_map(TASK, x, s, t)) / (t - s),
+                                   average_velocity_oracle(v, x, s, t), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("s,t", [(-1e-9, 0.5), (0.5, 1.0 + 1e-9)])
+def test_closed_form_map_rejects_times_outside_unit_interval(s, t):
+    with pytest.raises(ValueError, match=r"^t outside \[0, 1\]$"):
+        gaussian_flow_map(TASK, np.zeros(2), s, t)
+
+
 def test_average_velocity_rejects_bad_interval():
     v = lambda x, t: gaussian_velocity(TASK, x, t)
     with pytest.raises(ValueError):
@@ -81,6 +103,16 @@ def test_average_velocity_rejects_bad_interval():
 ])
 def test_identities_hold_on_true_flow(setting, tol):
     report = check_identity(setting, TASK, _probes(8))
+    assert report.max_residual < tol
+
+
+@pytest.mark.parametrize("setting,s,t,tol", [
+    ("lsd", 0.0, 0.5, 1e-3), ("lsd", 0.0, 1.0, 1e-3), ("esd", 0.5, 1.0, 1e-3),
+    ("esd", 0.0, 1.0, 1e-3), ("ssd", 0.0, 1.0, 1e-3), ("semigroup", 0.0, 1.0, 1e-5),
+])
+def test_identities_hold_on_end_intervals(setting, s, t, tol):
+    # one-sided differences where the central stencil would leave [0, 1]
+    report = check_identity(setting, TASK, [(np.array([0.5, -0.25]), s, t)])
     assert report.max_residual < tol
 
 

@@ -1,10 +1,13 @@
 """Trainer phases, optimizer, sampler, metrics, and persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
 from flowmaplab import autodiff as ad
 from flowmaplab.autodiff import Tensor
+from flowmaplab.io import load_checkpoint, save_checkpoint
 from flowmaplab.nets import COND_NULL
 from flowmaplab.runtime import (AdamW, Gaussian2DTask, METRICS_HEADER, PhasePlan,
                                 SamplerConfig, TextureSRTask, Toy2DTask, TrainAbort,
@@ -181,6 +184,27 @@ class TestPersistence:
         cfg = SamplerConfig(steps=2, cond=COND_NULL, lora_scale=1.0)
         np.testing.assert_array_equal(sample(res.model, x1, cfg)[-1],
                                       sample(model, x1, cfg)[-1])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t, m: m.pop("hidden"), "checkpoint metadata has no 'hidden'"),
+        (lambda t, m: m.update(depth="two"), "metadata depth='two' is not an integer"),
+        (lambda t, m: t.pop("model.layer0.W"), "checkpoint has no tensor 'model.layer0.W'"),
+        (lambda t, m: t.update({"model.layer9.W": np.zeros((2, 2))}),
+         "unexpected checkpoint tensor 'model.layer9.W'"),
+        (lambda t, m: m.update(hidden=17), "'model.layer0.W' has shape (22, 16), "
+                                          "the model built from its metadata needs (22, 17)"),
+    ], ids=["missing-key", "non-integer-key", "missing-tensor", "unexpected-tensor",
+            "shape-mismatch"])
+    def test_malformed_checkpoint_refused(self, tmp_path, edit, message):
+        path = tmp_path / "m.ckpt"
+        save_result(path, train(tiny_plan(adv_steps=0, d_pretrain_steps=0), Gaussian2DTask(),
+                                seed=0), "gaussian2d")
+        tensors, meta = load_checkpoint(path)
+        edit(tensors, meta)
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*"
+                           + re.escape(message)):
+            load_model(path)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
