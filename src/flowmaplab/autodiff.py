@@ -157,11 +157,7 @@ def _make(data, tangent, parents, backward):
     out = Tensor(data, tangent=tangent)
     if grad_enabled() and any(p.in_graph for p in parents):
         out._prev = tuple(p for p in parents if p.in_graph)
-
-        def hook(g, _backward=backward):
-            _backward(g)
-
-        out._backward = hook
+        out._backward = backward
     return out
 
 
@@ -174,17 +170,13 @@ def _accum(node: Tensor, g: np.ndarray):
         node.grad = node.grad + g
 
 
-def _tang(x: Tensor) -> np.ndarray | None:
-    return x.tangent
-
-
 # -- elementary ops -------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
-    ta, tb = _tang(a), _tang(b)
+    ta, tb = a.tangent, b.tangent
     tangent = None
     if ta is not None or tb is not None:
         tangent = np.broadcast_to(0.0 if ta is None else ta, data.shape) \
@@ -200,7 +192,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
-    ta, tb = _tang(a), _tang(b)
+    ta, tb = a.tangent, b.tangent
     tangent = None
     if ta is not None or tb is not None:
         tangent = np.broadcast_to(0.0 if ta is None else ta, data.shape) \
@@ -216,7 +208,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
-    ta, tb = _tang(a), _tang(b)
+    ta, tb = a.tangent, b.tangent
     tangent = None
     if ta is not None or tb is not None:
         tangent = np.zeros(data.shape)
@@ -235,7 +227,7 @@ def mul(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data @ b.data
-    ta, tb = _tang(a), _tang(b)
+    ta, tb = a.tangent, b.tangent
     tangent = None
     if ta is not None or tb is not None:
         tangent = np.zeros(data.shape)
@@ -258,7 +250,7 @@ def matmul(a, b) -> Tensor:
 def sum_(a, axis=None) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis)
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else ta.sum(axis=axis)
 
     def backward(g):
@@ -274,7 +266,7 @@ def mean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     data = a.data.mean(axis=axis)
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else ta.mean(axis=axis)
 
     def backward(g):
@@ -289,7 +281,7 @@ def mean(a, axis=None) -> Tensor:
 def square(a) -> Tensor:
     a = as_tensor(a)
     data = a.data ** 2
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else 2.0 * a.data * ta
 
     def backward(g):
@@ -301,7 +293,7 @@ def square(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else data * ta
 
     def backward(g):
@@ -313,7 +305,7 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     a = as_tensor(a)
     data = np.log(a.data)
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else ta / a.data
 
     def backward(g):
@@ -326,7 +318,7 @@ def softplus(a) -> Tensor:
     a = as_tensor(a)
     data = np.logaddexp(0.0, a.data)
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else sig * ta
 
     def backward(g):
@@ -340,7 +332,7 @@ def silu(a) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
     data = a.data * sig
     dsig = sig * (1.0 + a.data * (1.0 - sig))
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else dsig * ta
 
     def backward(g):
@@ -352,7 +344,7 @@ def silu(a) -> Tensor:
 def sin(a) -> Tensor:
     a = as_tensor(a)
     data = np.sin(a.data)
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else np.cos(a.data) * ta
 
     def backward(g):
@@ -364,7 +356,7 @@ def sin(a) -> Tensor:
 def cos(a) -> Tensor:
     a = as_tensor(a)
     data = np.cos(a.data)
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else -np.sin(a.data) * ta
 
     def backward(g):
@@ -396,7 +388,7 @@ def concat(tensors, axis=0) -> Tensor:
 def slice_(a, idx) -> Tensor:
     a = as_tensor(a)
     data = a.data[idx]
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else ta[idx]
 
     def backward(g):
@@ -410,7 +402,7 @@ def slice_(a, idx) -> Tensor:
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
     data = np.broadcast_to(a.data, shape).copy()
-    ta = _tang(a)
+    ta = a.tangent
     tangent = None if ta is None else np.broadcast_to(ta, shape).copy()
 
     def backward(g):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import pathlib
 import sys
 
@@ -44,11 +45,10 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
-_PLAN_INT = {"fm_steps", "fmsd_steps", "cfg_steps", "adv_steps", "d_pretrain_steps",
-             "batch_size", "lora_rank", "hidden", "depth", "time_dim", "cond_dim"}
-_PLAN_FLOAT = {"lr_model", "lr_weightnet", "lr_disc", "w_max", "lambda_adv",
-               "lora_train_scale", "drop_prob"}
-_PLAN_BOOL = {"use_perceptual"}
+# configparser getter for each scalar PhasePlan field, by its annotation
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean"}
+_SCALAR_FIELDS = {f.name: _GETTERS[f.type] for f in dataclasses.fields(PhasePlan)
+                  if f.type in _GETTERS}
 
 
 def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
@@ -57,12 +57,8 @@ def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
         return plan
     sec = cp["train"]
     for key in sec:
-        if key in _PLAN_INT:
-            setattr(plan, key, sec.getint(key))
-        elif key in _PLAN_FLOAT:
-            setattr(plan, key, sec.getfloat(key))
-        elif key in _PLAN_BOOL:
-            setattr(plan, key, sec.getboolean(key))
+        if key in _SCALAR_FIELDS:
+            setattr(plan, key, getattr(sec, _SCALAR_FIELDS[key])(key))
         elif key == "setting":
             if sec[key] not in SETTINGS:
                 raise ValueError(f"unknown setting {sec[key]!r}")
@@ -171,6 +167,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.probes < 1:
+        raise ValueError(f"--probes must be at least 1, got {args.probes}")
     task = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
                         sigma0=0.6, sigma1=1.2)
     rng = np.random.default_rng(args.seed)

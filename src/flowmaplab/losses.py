@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .interpolant import InterpolantSchedule, STANDARD, interpolate, target_velocity
 from .nets import COND_NEGATIVE, COND_NULL
-from .schedule import LSD, ESD, SSD, TimestepPair
+from .schedule import LSD, ESD, SSD, SETTINGS, TimestepPair
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,14 @@ class GuidanceContext:
     dropped: bool = False
 
     def __post_init__(self):
-        if self.dropped and self.w != 1.0:
-            raise ValueError("dropped conditions force w == 1")
+        if self.dropped and (self.w != 1.0 or self.cond != COND_NEGATIVE):
+            raise ValueError("dropped conditions force w == 1 on the negative branch")
         if not 1.0 <= self.w <= self.w_max:
             raise ValueError(f"guidance scale {self.w} outside [1, {self.w_max}]")
+
+
+# no guidance: the null condition at w = 1, i.e. the plain targets
+PLAIN = GuidanceContext(w=1.0, w_max=1.0, cond=COND_NULL)
 
 
 def draw_guidance(rng: np.random.Generator, w_max: float, cond_positive: int,
@@ -51,7 +55,6 @@ class LossBreakdown:
     perceptual: Tensor
     weighted_total: Tensor
     lam: float
-    tag: str
 
 
 def _batch_sq_error(pred: Tensor, target: Tensor) -> Tensor:
@@ -72,120 +75,103 @@ def fm_loss(model, x0: np.ndarray, x1: np.ndarray, t: float,
     return _batch_sq_error(pred, Tensor(v_t))
 
 
-# -- self-distillation targets --------------------------------------------
+# -- consistency targets --------------------------------------------------
 
 
-def _check_interval(s: float, t: float):
+def _check_interval(setting: str, s: float, t: float):
+    if setting not in SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}")
     if s == t:
         raise ValueError("diagonal pairs dispatch to the flow-matching loss")
     if s > t:
         raise ValueError(f"need s < t, got ({s}, {t})")
 
 
-def sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
-              s: float, t: float, sched: InterpolantSchedule = STANDARD,
-              cond: int = COND_NULL) -> Tensor:
-    """Consistency target for u_{s,t}(I_t); detached from the tape.
+def _consistency_target(setting: str, model, x_t: np.ndarray, v: np.ndarray,
+                        s: float, t: float, cond: int) -> Tensor:
+    """Consistency target for u_{s,t}(I_t | cond) given the velocity ``v`` at
+    (I_t, t); detached from the tape.
 
-    lsd: v_target + (t-s) d_s u_{s,t}(I_t)
-    esd: v_target - (t-s)(grad u . v_target + d_t u)
-    ssd: half-step composition through the midpoint r = (s+t)/2
-    The conditional velocity ``v_target`` comes from the schedule, so the
-    same expressions serve general interpolants.
+    lsd: v + (t-s) d_s u_{s,t}(I_t)
+    esd: v - (t-s)(grad u . v + d_t u)
+    ssd: half-step composition through the midpoint r = (s+t)/2 (reads no v)
     """
-    _check_interval(s, t)
-    x_t = interpolate(x0, x1, t, sched)
-    v_t = target_velocity(x0, x1, t, sched)
     f = lambda x, ss, tt: model(x, ss, tt, cond)
-
     if setting == LSD:
         _, du_ds = ad.jvp_joint(f, Tensor(x_t), s, t, np.zeros_like(x_t), 1.0, 0.0)
-        target = v_t + (t - s) * du_ds.data
+        target = v + (t - s) * du_ds.data
     elif setting == ESD:
-        _, total = ad.jvp_joint(f, Tensor(x_t), s, t, v_t, 0.0, 1.0)
-        target = v_t - (t - s) * total.data
-    elif setting == SSD:
+        _, total = ad.jvp_joint(f, Tensor(x_t), s, t, v, 0.0, 1.0)
+        target = v - (t - s) * total.data
+    else:
         r = 0.5 * (s + t)
         with ad.no_grad():
             u_rt = model(x_t, r, t, cond)
             x_mid = x_t - (t - s) / 2.0 * u_rt.data
             u_sr = model(x_mid, s, r, cond)
         target = 0.5 * u_rt.data + 0.5 * u_sr.data
-    else:
-        raise ValueError(f"unknown setting {setting!r}")
     return ad.stop_gradient(Tensor(target))
 
 
-def sd_loss(setting: str, model, x0: np.ndarray, x1: np.ndarray,
-            s: float, t: float, sched: InterpolantSchedule = STANDARD,
-            cond: int = COND_NULL) -> Tensor:
-    """||u_{s,t}(I_t|cond) - sg(target)||^2; gradients hit the left factor only."""
-    target = sd_target(setting, model, x0, x1, s, t, sched, cond)
+def sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
+              s: float, t: float, sched: InterpolantSchedule = STANDARD,
+              cond: int = COND_NULL) -> Tensor:
+    """Consistency target for u_{s,t}(I_t) from the conditional velocity;
+    detached.  The velocity comes from the schedule, so the same
+    expressions serve general interpolants."""
+    _check_interval(setting, s, t)
     x_t = interpolate(x0, x1, t, sched)
-    pred = model(x_t, s, t, cond)
-    return _batch_sq_error(pred, target)
+    return _consistency_target(setting, model, x_t, target_velocity(x0, x1, t, sched),
+                               s, t, cond)
 
 
 # -- guidance-aware targets -----------------------------------------------
+
+
+def _guided_velocity(model, x_t: np.ndarray, v_t: np.ndarray, t: float, w: float,
+                     s: float | None = None) -> np.ndarray:
+    """w * v_t + (1 - w) * u_neg, with u_neg read on the diagonal at
+    (I_t, t), or, given ``s``, at the negative's own map point
+    X_neg = I_t - (t-s) u_{s,t}(I_t | negative) as u_{s,s}(X_neg | negative)."""
+    with ad.no_grad():
+        if s is None:
+            u_neg = model(x_t, t, t, COND_NEGATIVE)
+        else:
+            u_neg_st = model(x_t, s, t, COND_NEGATIVE)
+            u_neg = model(x_t - (t - s) * u_neg_st.data, s, s, COND_NEGATIVE)
+    return w * v_t + (1.0 - w) * u_neg.data
 
 
 def cfg_fm_target(model, x0: np.ndarray, x1: np.ndarray, t: float,
                   sched: InterpolantSchedule, ctx: GuidanceContext) -> Tensor:
     """w * v_target + (1 - w) * u_{t,t}(I_t | negative); detached.
 
-    A dropped context reduces to the plain target (w = 1)."""
+    A dropped context or w = 1 gives the plain target v_target."""
     v_t = target_velocity(x0, x1, t, sched)
     if ctx.dropped or ctx.w == 1.0:
         return ad.stop_gradient(Tensor(v_t))
     x_t = interpolate(x0, x1, t, sched)
-    with ad.no_grad():
-        u_neg = model(x_t, t, t, COND_NEGATIVE)
-    return ad.stop_gradient(Tensor(ctx.w * v_t + (1.0 - ctx.w) * u_neg.data))
+    return ad.stop_gradient(Tensor(_guided_velocity(model, x_t, v_t, t, ctx.w)))
 
 
 def cfg_sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
                   s: float, t: float, sched: InterpolantSchedule,
                   ctx: GuidanceContext) -> Tensor:
-    """Guidance-aware consistency target; detached.
+    """Guidance-aware consistency target: the plain target with the guided
+    velocity in place of the conditional one; detached.
 
     Extra model evaluations versus the unconditional target: two in the
-    Lagrangian setting, one in the Eulerian setting, none in the Shortcut
-    setting.  A dropped context reduces to the plain target on the negative
-    branch.
+    Lagrangian setting (u_neg at its own map point), one in the Eulerian
+    setting (u_neg on the diagonal), none in the Shortcut setting (reads no
+    velocity).  A dropped context gives the plain target on the negative
+    branch, and w = 1 the plain target on ``ctx.cond``.
     """
-    _check_interval(s, t)
-    if ctx.dropped:
-        return sd_target(setting, model, x0, x1, s, t, sched, COND_NEGATIVE)
-
+    _check_interval(setting, s, t)
     x_t = interpolate(x0, x1, t, sched)
-    v_t = target_velocity(x0, x1, t, sched)
-    c = ctx.cond
-    f = lambda x, ss, tt: model(x, ss, tt, c)
-
-    if setting == LSD:
-        with ad.no_grad():
-            u_neg_st = model(x_t, s, t, COND_NEGATIVE)
-            x_s_neg = x_t - (t - s) * u_neg_st.data
-            u_neg_ss = model(x_s_neg, s, s, COND_NEGATIVE)
-        v_cfg = ctx.w * v_t + (1.0 - ctx.w) * u_neg_ss.data
-        _, du_ds = ad.jvp_joint(f, Tensor(x_t), s, t, np.zeros_like(x_t), 1.0, 0.0)
-        target = v_cfg + (t - s) * du_ds.data
-    elif setting == ESD:
-        with ad.no_grad():
-            u_neg_tt = model(x_t, t, t, COND_NEGATIVE)
-        v_cfg = ctx.w * v_t + (1.0 - ctx.w) * u_neg_tt.data
-        _, total = ad.jvp_joint(f, Tensor(x_t), s, t, v_cfg, 0.0, 1.0)
-        target = v_cfg - (t - s) * total.data
-    elif setting == SSD:
-        r = 0.5 * (s + t)
-        with ad.no_grad():
-            u_rt = model(x_t, r, t, c)
-            x_mid = x_t - (t - s) / 2.0 * u_rt.data
-            u_sr = model(x_mid, s, r, c)
-        target = 0.5 * u_rt.data + 0.5 * u_sr.data
-    else:
-        raise ValueError(f"unknown setting {setting!r}")
-    return ad.stop_gradient(Tensor(target))
+    v = target_velocity(x0, x1, t, sched)
+    if not (ctx.dropped or ctx.w == 1.0 or setting == SSD):
+        v = _guided_velocity(model, x_t, v, t, ctx.w, s if setting == LSD else None)
+    return _consistency_target(setting, model, x_t, v, s, t, ctx.cond)
 
 
 # -- perceptual regularizer -----------------------------------------------
@@ -249,29 +235,21 @@ def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
     """Dispatch on s == t, apply the regularizer and the learned weighting.
 
     weighted_total = exp(-lambda) * (main + perceptual) + lambda, with
-    gradients reaching both the model and the weighting head.  A dropped
-    guidance context swaps in the degraded negative target when provided.
+    gradients reaching both the model and the weighting head.  No guidance
+    context means ``PLAIN``.  A dropped context swaps in the degraded
+    negative target when provided.
     """
     s, t = pair.s_value, pair.t_value
-    cond = COND_NULL if ctx is None else ctx.cond
-    if ctx is not None and ctx.dropped and x0_neg is not None:
+    ctx = PLAIN if ctx is None else ctx
+    if ctx.dropped and x0_neg is not None:
         x0 = x0_neg
 
     x_t = interpolate(x0, x1, t, sched)
     if pair.is_fm:
-        tag = "fm" if ctx is None else "fm.cfg"
-        pred = model(x_t, t, t, cond)
-        if ctx is None:
-            target = ad.stop_gradient(Tensor(target_velocity(x0, x1, t, sched)))
-        else:
-            target = cfg_fm_target(model, x0, x1, t, sched, ctx)
+        target = cfg_fm_target(model, x0, x1, t, sched, ctx)
     else:
-        tag = setting if ctx is None else f"{setting}.cfg"
-        if ctx is None:
-            target = sd_target(setting, model, x0, x1, s, t, sched, cond)
-        else:
-            target = cfg_sd_target(setting, model, x0, x1, s, t, sched, ctx)
-        pred = model(x_t, s, t, cond)
+        target = cfg_sd_target(setting, model, x0, x1, s, t, sched, ctx)
+    pred = model(x_t, s, t, ctx.cond)  # s == t on FM pairs
     main = _batch_sq_error(pred, target)
 
     if use_perceptual:
@@ -284,7 +262,7 @@ def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
     raw = ad.add(main, perceptual)
     weighted = ad.add(ad.mul(ad.exp(ad.mul(lam, -1.0)), raw), lam)
     return LossBreakdown(main=main, perceptual=perceptual, weighted_total=weighted,
-                         lam=lam.item(), tag=tag)
+                         lam=lam.item())
 
 
 # -- adversarial pair -----------------------------------------------------
@@ -327,6 +305,5 @@ def rpgan_losses(model, disc, x0: np.ndarray, x1: np.ndarray,
                                   use_perceptual=use_perceptual)
         g_loss = ad.add(g_adv, ad.mul(breakdown.weighted_total, lambda_adv))
 
-    fake_sg = ad.stop_gradient(fake)
-    d_loss = ad.mean(ad.softplus(ad.sub(disc(real), disc(fake_sg))))
+    d_loss = ad.mean(ad.softplus(ad.sub(d_real, disc(ad.stop_gradient(fake)))))
     return g_loss, d_loss

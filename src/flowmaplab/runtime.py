@@ -23,7 +23,7 @@ from .io import load_checkpoint, save_checkpoint
 from .losses import (GuidanceContext, combined_loss, draw_guidance, fm_loss,
                      rpgan_losses)
 from .nets import COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet
-from .schedule import GridConfig, GridTime, SSD, TimestepPair, sample_pair
+from .schedule import GridConfig, SSD, fm_pair, sample_pair
 
 METRICS_HEADER = ["step", "phase", "loss_main", "loss_perc", "loss_weighted",
                   "lambda_mean", "g_loss", "d_loss"]
@@ -242,11 +242,6 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.10e}"
 
 
-def _check_finite(value: float, step: int, phase: str):
-    if not math.isfinite(value):
-        raise TrainAbort(step, phase, value)
-
-
 @dataclass
 class TrainResult:
     model: FlowMapModel
@@ -263,30 +258,14 @@ class TrainResult:
         return buf.getvalue()
 
 
-def _fm_pair(grid: GridConfig, rng) -> TimestepPair:
-    d = grid.d_max
-    k = int(rng.integers(0, (1 << d) + 1))
-    gt = GridTime(k, d)
-    return TimestepPair(s=gt, t=gt, is_fm=True, level=d)
-
-
-def train(plan: PhasePlan, task, seed: int = 0,
-          sched=STANDARD, instrument: dict | None = None) -> TrainResult:
-    """Run the four phases and return the trained components plus metrics.
-
-    ``instrument``, when given, collects counters (sd target invocations,
-    guidance drops) used by the verification suite.
-    """
+def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
+    """Run the four phases and return the trained components plus metrics."""
     rng = np.random.default_rng(seed)
     model = FlowMapModel(task.state_dim, hidden=plan.hidden, depth=plan.depth,
                          time_dim=plan.time_dim, cond_dim=plan.cond_dim,
                          rng=np.random.default_rng(seed + 1))
     weightnet = WeightNet(time_dim=plan.time_dim, rng=np.random.default_rng(seed + 2))
     rows: list = []
-    counters = instrument if instrument is not None else {}
-    counters.setdefault("sd_steps", 0)
-    counters.setdefault("drops", 0)
-    counters.setdefault("cfg_steps", 0)
     step = 0
 
     opt_model = AdamW(model.trainable_params(), plan.lr_model)
@@ -298,15 +277,27 @@ def train(plan: PhasePlan, task, seed: int = 0,
         frac = min(i, total_main) / total_main
         return plan.lr_floor + (1.0 - plan.lr_floor) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
+    def update(loss: Tensor, phase: str, *opts: AdamW):
+        """Abort on a non-finite loss, else one gradient over every
+        optimizer's parameters and one step of each."""
+        if not math.isfinite(loss.item()):
+            raise TrainAbort(step, phase, loss.item())
+        grads = ad.grad(loss, {(i, k): p for i, opt in enumerate(opts)
+                               for k, p in opt.params.items()})
+        for i, opt in enumerate(opts):
+            opt.step({k: grads[i, k] for k in opt.params})
+
+    # the low-pass surrogate is an image-domain regularizer; skip it for
+    # vector tasks where a 2x pool has no spatial meaning
+    use_perc = plan.use_perceptual and task.image_hw is not None
+
     # phase 1: flow-matching warm start on diagonal pairs at the finest grid
     for _ in range(plan.fm_steps):
         batch = task.sample(plan.batch_size, rng)
-        pair = _fm_pair(plan.grid, rng)
+        pair = fm_pair(plan.grid, rng)
         loss = fm_loss(model, batch.x0, batch.x1, pair.t_value, sched, COND_NULL)
-        _check_finite(loss.item(), step, "fm")
-        grads = ad.grad(loss, model.trainable_params())
         opt_model.lr = plan.lr_model * decay(step)
-        opt_model.step(grads)
+        update(loss, "fm", opt_model)
         rows.append([str(step), "fm", _fmt(loss.item()), "", _fmt(loss.item()),
                      "", "", ""])
         step += 1
@@ -317,39 +308,23 @@ def train(plan: PhasePlan, task, seed: int = 0,
             use_cfg = phase == "cfg"
             batch = task.sample(plan.batch_size, rng, with_negative=use_cfg)
             pair = sample_pair(plan.setting, plan.grid, rng)
-            ctx = None
-            if use_cfg:
-                ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
-                counters["cfg_steps"] += 1
-                if ctx.dropped:
-                    counters["drops"] += 1
-            if not pair.is_fm:
-                counters["sd_steps"] += 1
-            # the low-pass surrogate is an image-domain regularizer; skip it
-            # for vector tasks where a 2x pool has no spatial meaning
-            use_perc = plan.use_perceptual and task.image_hw is not None
+            ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob) \
+                if use_cfg else None
             breakdown = combined_loss(model, weightnet, batch.x0, batch.x1, pair,
                                       plan.setting, sched, ctx=ctx,
                                       x0_neg=batch.x0_neg, image_hw=task.image_hw,
                                       use_perceptual=use_perc)
             total = breakdown.weighted_total
-            _check_finite(total.item(), step, phase)
-            merged = {}
-            model_params = model.trainable_params()
-            wn_params = weightnet.trainable_params()
-            merged.update(model_params)
-            merged.update({f"wn.{k}": v for k, v in wn_params.items()})
-            grads = ad.grad(total, merged)
             opt_model.lr = plan.lr_model * decay(step)
             opt_wn.lr = plan.lr_weightnet * decay(step)
-            opt_model.step({k: grads[k] for k in model_params})
-            opt_wn.step({k: grads[f"wn.{k}"] for k in wn_params})
+            update(total, phase, opt_model, opt_wn)
             rows.append([str(step), phase, _fmt(breakdown.main.item()),
                          _fmt(breakdown.perceptual.item()), _fmt(total.item()),
                          _fmt(breakdown.lam), "", ""])
             step += 1
 
-    # phase 4: adversarial fine-tuning of adapters and discriminator only
+    # phase 4: adversarial fine-tuning of adapters and discriminator only,
+    # after d_pretrain_steps that train the discriminator alone
     disc = None
     if plan.adv_steps > 0:
         disc = Discriminator(task.state_dim, rng=np.random.default_rng(seed + 3))
@@ -359,31 +334,20 @@ def train(plan: PhasePlan, task, seed: int = 0,
         opt_lora = AdamW(model.lora_params(), plan.lr_model)
         opt_disc = AdamW(disc.trainable_params(), plan.lr_disc)
 
-        for i in range(plan.d_pretrain_steps):
+        for i in range(plan.d_pretrain_steps + plan.adv_steps):
+            pretrain = i < plan.d_pretrain_steps
             batch = task.sample(plan.batch_size, rng, with_negative=True)
             ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
-            pair = sample_pair(plan.setting, plan.grid, rng)
-            _, d_loss = rpgan_losses(model, disc, batch.x0, batch.x1, ctx, 0.0)
-            _check_finite(d_loss.item(), step, "adv")
-            opt_disc.step(ad.grad(d_loss, disc.trainable_params()))
-            rows.append([str(step), "adv", "", "", "", "", "", _fmt(d_loss.item())])
-            step += 1
-
-        for _ in range(plan.adv_steps):
-            batch = task.sample(plan.batch_size, rng, with_negative=True)
-            ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
-            pair = sample_pair(plan.setting, plan.grid, rng)
+            pair = sample_pair(plan.setting, plan.grid, rng)  # unused in pretraining
             g_loss, d_loss = rpgan_losses(
-                model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
+                model, disc, batch.x0, batch.x1, ctx, 0.0 if pretrain else plan.lambda_adv,
                 weightnet=weightnet, pair=pair, setting=plan.setting, sched=sched,
-                x0_neg=batch.x0_neg, image_hw=task.image_hw,
-                use_perceptual=plan.use_perceptual and task.image_hw is not None)
-            _check_finite(g_loss.item(), step, "adv")
-            _check_finite(d_loss.item(), step, "adv")
-            opt_lora.step(ad.grad(g_loss, model.lora_params()))
-            opt_disc.step(ad.grad(d_loss, disc.trainable_params()))
+                x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
+            if not pretrain:
+                update(g_loss, "adv", opt_lora)
+            update(d_loss, "adv", opt_disc)
             rows.append([str(step), "adv", "", "", "", "",
-                         _fmt(g_loss.item()), _fmt(d_loss.item())])
+                         "" if pretrain else _fmt(g_loss.item()), _fmt(d_loss.item())])
             step += 1
         model.set_trunk_trainable(True)
 

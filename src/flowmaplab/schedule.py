@@ -70,6 +70,13 @@ def make_grid(d: int) -> list[float]:
     return [k / n for k in range(n + 1)]
 
 
+def fm_pair(cfg: GridConfig, rng: np.random.Generator) -> TimestepPair:
+    """A diagonal pair s == t, uniform on the finest grid."""
+    d = cfg.d_max
+    gt = GridTime(int(rng.integers(0, (1 << d) + 1)), d)
+    return TimestepPair(s=gt, t=gt, is_fm=True, level=d)
+
+
 def sample_pair(setting: str, cfg: GridConfig, rng: np.random.Generator) -> TimestepPair:
     """Draw one (s, t) pair.
 
@@ -84,10 +91,7 @@ def sample_pair(setting: str, cfg: GridConfig, rng: np.random.Generator) -> Time
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
     if rng.random() < cfg.p_fm:
-        d = cfg.d_max
-        k = int(rng.integers(0, (1 << d) + 1))
-        gt = GridTime(k, d)
-        return TimestepPair(s=gt, t=gt, is_fm=True, level=d)
+        return fm_pair(cfg, rng)
 
     if setting == SSD:
         d = int(rng.integers(0, cfg.d_max))

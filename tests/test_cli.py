@@ -5,10 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import configparser
+import dataclasses
+
 import numpy as np
 import pytest
 
-from flowmaplab.cli import main
+from flowmaplab.cli import main, plan_from_config
+from flowmaplab.runtime import PhasePlan
 from flowmaplab.data import load_pgm
 
 TINY_CFG = """\
@@ -107,6 +111,15 @@ def test_oracle_check_covers_end_intervals(capsys):
     assert capsys.readouterr().out.count(" ok\n") == 4
 
 
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_oracle_check_refuses_no_probes(probes, capsys):
+    # a check that draws no probe has checked nothing
+    assert main(["oracle-check", "--probes", probes]) == 1
+    captured = capsys.readouterr()
+    assert "--probes must be at least 1" in captured.err
+    assert " ok" not in captured.out
+
+
 def test_gen_data_subcommand(tmp_path):
     out = tmp_path / "corpus"
     rc = main(["gen-data", "--out", str(out), "--n", "2", "--size", "8",
@@ -143,6 +156,19 @@ class TestExitCodes:
         rc = main(["train", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_every_scalar_plan_field_is_read(self):
+        # a value off each scalar field's default, typed as its annotation
+        off = {"int": lambda v: v + 1, "float": lambda v: v / 2,
+               "bool": lambda v: not v}
+        want = {f.name: off[f.type](f.default) for f in dataclasses.fields(PhasePlan)
+                if f.type in off}
+        assert {"lr_floor", "use_perceptual", "fm_steps", "w_max"} <= set(want)
+        cp = configparser.ConfigParser()
+        cp.read_string("[train]\n" + "".join(f"{k} = {v}\n" for k, v in want.items()))
+        plan = plan_from_config(cp)
+        assert {k: getattr(plan, k) for k in want} == want
+        assert all(type(getattr(plan, k)) is type(v) for k, v in want.items())
 
     def test_unknown_config_key_is_one(self, tmp_path):
         cfg = tmp_path / "bad.ini"

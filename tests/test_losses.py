@@ -11,7 +11,7 @@ from flowmaplab.interpolant import STANDARD, interpolate
 from flowmaplab.losses import (GuidanceContext, cfg_fm_target, cfg_sd_target,
                                combined_loss, draw_guidance, fm_loss,
                                perceptual_reg, perceptual_weight, rpgan_losses,
-                               sd_loss, sd_target, two_step_prediction)
+                               sd_target, two_step_prediction)
 from flowmaplab.nets import (COND_NEGATIVE, COND_NULL, COND_POSITIVE, Discriminator,
                              FlowMapModel, WeightNet)
 from flowmaplab.oracle import GaussianTask, average_velocity_oracle, gaussian_velocity
@@ -71,6 +71,10 @@ class TestGuidanceContext:
     def test_dropped_forces_unit_scale(self):
         with pytest.raises(ValueError):
             GuidanceContext(w=2.0, w_max=3.5, cond=COND_NEGATIVE, dropped=True)
+
+    def test_dropped_forces_negative_branch(self):
+        with pytest.raises(ValueError):
+            GuidanceContext(w=1.0, w_max=3.5, cond=COND_POSITIVE, dropped=True)
 
     def test_scale_bounds(self):
         with pytest.raises(ValueError):
@@ -190,10 +194,11 @@ class TestSdTargets:
 
     def test_sd_loss_gradients_exist(self):
         model = make_model(10)
+        wn = WeightNet(time_dim=8, rng=np.random.default_rng(12))
         rng = np.random.default_rng(11)
         x0, x1 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-        loss = sd_loss(SSD, model, x0, x1, 0.25, 0.75)
-        g = ad.grad(loss, model.trainable_params())
+        br = combined_loss(model, wn, x0, x1, _pair(1, 3, 2), SSD, use_perceptual=False)
+        g = ad.grad(br.main, model.trainable_params())
         assert np.any(g[f"layer{model.depth}.W"] != 0.0)
 
 
@@ -231,6 +236,54 @@ class TestCfgTargets:
         before = model.eval_count
         cfg_sd_target(setting, model, x0, x1, 0.25, 0.75, STANDARD, ctx)
         assert model.eval_count - before == base_cost + extra
+
+    @pytest.mark.parametrize("setting", [LSD, ESD])
+    def test_guided_target_against_manual_fd(self, setting):
+        # the guided velocity and the derivatives rebuilt from plain forward
+        # evaluations and central differences, apart from the target code
+        model = make_model(19)
+        model.params["cond.table"].data += 0.5 * np.random.default_rng(20).standard_normal((3, 4))
+        x0, x1 = self._data(21, n=3)
+        s, t, w, h = 0.25, 0.75, 2.5, 1e-6
+        x_t = interpolate(x0, x1, t)
+        u = lambda x, ss, tt, c: model(x, ss, tt, c).data
+        with ad.no_grad():
+            if setting == LSD:
+                x_neg = x_t - (t - s) * u(x_t, s, t, COND_NEGATIVE)
+                v = w * (x1 - x0) + (1 - w) * u(x_neg, s, s, COND_NEGATIVE)
+                d = (u(x_t, s + h, t, COND_POSITIVE) - u(x_t, s - h, t, COND_POSITIVE)) / (2 * h)
+                manual = v + (t - s) * d
+            else:
+                v = w * (x1 - x0) + (1 - w) * u(x_t, t, t, COND_NEGATIVE)
+                d = (u(x_t + h * v, s, t + h, COND_POSITIVE)
+                     - u(x_t - h * v, s, t - h, COND_POSITIVE)) / (2 * h)
+                manual = v - (t - s) * d
+        ctx = GuidanceContext(w=w, w_max=3.5, cond=COND_POSITIVE)
+        got = cfg_sd_target(setting, model, x0, x1, s, t, STANDARD, ctx)
+        plain = sd_target(setting, model, x0, x1, s, t, STANDARD, COND_POSITIVE)
+        assert np.max(np.abs(got.data - plain.data)) > 1e-2  # guidance moved it
+        np.testing.assert_allclose(got.data, manual, atol=1e-5)
+
+    # model evaluations per combined_loss call: the target's, plus the one
+    # prediction; guidance costs 2/1/0 extra in lsd/esd/ssd and 1 on FM pairs
+    @pytest.mark.parametrize("kind,setting,evals", [
+        ("plain", LSD, 2), ("plain", ESD, 2), ("plain", SSD, 3), ("plain", "fm", 1),
+        ("guided", LSD, 4), ("guided", ESD, 3), ("guided", SSD, 3), ("guided", "fm", 2),
+        ("dropped", LSD, 2), ("dropped", ESD, 2), ("dropped", SSD, 3), ("dropped", "fm", 1),
+    ])
+    def test_eval_count_per_call(self, kind, setting, evals):
+        model = make_model(22)
+        wn = WeightNet(time_dim=8, rng=np.random.default_rng(23))
+        x0, x1 = self._data(24)
+        ctx = {"plain": None,
+               "guided": GuidanceContext(w=2.5, w_max=3.5, cond=COND_POSITIVE),
+               "dropped": GuidanceContext(w=1.0, w_max=3.5, cond=COND_NEGATIVE,
+                                          dropped=True)}[kind]
+        pair = _pair(2, 2, 2) if setting == "fm" else _pair(1, 3, 2)
+        before = model.eval_count
+        combined_loss(model, wn, x0, x1, pair, SSD if setting == "fm" else setting,
+                      ctx=ctx, x0_neg=x0 + 0.3, use_perceptual=False)
+        assert model.eval_count - before == evals
 
     def test_dropped_uses_negative_branch(self):
         model = make_model(16)
@@ -319,7 +372,6 @@ class TestCombinedLoss:
         model, wn, x0, x1 = self._setup(25)
         pair = _pair(2, 2, 2)
         br = combined_loss(model, wn, x0, x1, pair, SSD, use_perceptual=False)
-        assert br.tag == "fm"
         ref = fm_loss(model, x0, x1, pair.t_value, STANDARD, COND_NULL)
         np.testing.assert_allclose(br.main.item(), ref.item(), rtol=1e-12)
 
@@ -340,7 +392,6 @@ class TestCombinedLoss:
                            use_perceptual=False)
         ref = fm_loss(model, x0_neg, x1, pair.t_value, STANDARD, COND_NEGATIVE)
         np.testing.assert_allclose(br.main.item(), ref.item(), rtol=1e-12)
-        assert br.tag == "fm.cfg"
 
 
 class TestAdversarial:

@@ -91,12 +91,6 @@ class TestTrainLoop:
                     if n.endswith(".A"))
         assert moved
 
-    def test_instrument_counters(self):
-        counters = {}
-        train(tiny_plan(), Gaussian2DTask(), seed=0, instrument=counters)
-        assert counters["cfg_steps"] == 4
-        assert 0 <= counters["drops"] <= 4
-
     def test_abort_on_nonfinite(self):
         class PoisonTask(Gaussian2DTask):
             def sample(self, n, rng, with_negative=False):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from flowmaplab.schedule import (ESD, GridConfig, GridTime, LSD, SSD, make_grid,
-                                 sample_pair)
+from flowmaplab.schedule import (ESD, GridConfig, GridTime, LSD, SSD, fm_pair,
+                                 make_grid, sample_pair)
 
 
 def test_grid_sizes_and_endpoints():
@@ -34,8 +34,8 @@ def test_gridtime_exact_value():
 def test_fm_pairs_lie_on_finest_grid():
     rng = np.random.default_rng(0)
     cfg = GridConfig()
-    for _ in range(200):
-        p = sample_pair(SSD, cfg, rng)
+    for i in range(200):
+        p = sample_pair(SSD, cfg, rng) if i % 2 else fm_pair(cfg, rng)
         if p.is_fm:
             assert p.s == p.t
             assert p.s.d == cfg.d_max
