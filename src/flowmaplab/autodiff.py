@@ -341,6 +341,79 @@ def silu(a) -> Tensor:
     return _make(data, tangent, (a,), backward)
 
 
+def linear(h, W, b, silu=False, B=None, A=None, gamma=1.0) -> Tensor:
+    """One dense layer as one node: silu?(h @ W + b + gamma * (h @ B) @ A).
+
+    ``h`` is a (n, fan_in) batch.  The low-rank adapter term is applied to
+    the activations, never folded into W, and is skipped when ``B`` is None
+    or ``gamma`` is 0.  Without it every array matches the unfused
+    ``add(matmul(h, W), b)`` then ``silu`` chain bit for bit.
+    """
+    h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
+    parents = (h, W, b)
+    pre = h.data @ W.data + b.data
+    lora = B is not None and gamma != 0.0
+    if lora:
+        B, A = as_tensor(B), as_tensor(A)
+        rank = B.shape[1]
+        if B.shape != (W.shape[0], rank) or A.shape != (rank, W.shape[1]):
+            raise ValueError("adapter factors do not conform to the base weight")
+        parents += (B, A)
+        hB = h.data @ B.data
+        ghB = gamma * hB
+        pre += ghB @ A.data
+    record = grad_enabled() and any(p.in_graph for p in parents)
+    has_tangent = any(p.tangent is not None for p in parents)
+
+    tpre = None
+    if has_tangent:
+        tpre = np.zeros(pre.shape)
+        if h.tangent is not None:
+            tpre += h.tangent @ W.data
+        if W.tangent is not None:
+            tpre += h.data @ W.tangent
+        if b.tangent is not None:
+            tpre += b.tangent
+        if lora:
+            thB = np.zeros(hB.shape)
+            if h.tangent is not None:
+                thB += h.tangent @ B.data
+            if B.tangent is not None:
+                thB += h.data @ B.tangent
+            tpre += (gamma * thB) @ A.data
+            if A.tangent is not None:
+                tpre += ghB @ A.tangent
+
+    data, tangent, dsig = pre, tpre, None
+    if silu:
+        sig = 1.0 / (1.0 + np.exp(-pre))
+        data = pre * sig
+        if has_tangent or record:
+            dsig = sig * (1.0 + pre * (1.0 - sig))
+        if has_tangent:
+            tangent = dsig * tpre
+
+    def backward(g):
+        gp = g if dsig is None else g * dsig
+        if W.in_graph:
+            _accum(W, h.data.T @ gp)
+        if b.in_graph:
+            _accum(b, _unbroadcast(gp, b.shape))
+        gh = gp @ W.data.T if h.in_graph else None
+        if lora:
+            gpA = gamma * (gp @ A.data.T)
+            if A.in_graph:
+                _accum(A, ghB.T @ gp)
+            if B.in_graph:
+                _accum(B, h.data.T @ gpA)
+            if gh is not None:
+                gh = gh + gpA @ B.data.T
+        if gh is not None:
+            _accum(h, gh)
+
+    return _make(data, tangent, parents, backward)
+
+
 def sin(a) -> Tensor:
     a = as_tensor(a)
     data = np.sin(a.data)

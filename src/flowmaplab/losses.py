@@ -305,5 +305,10 @@ def rpgan_losses(model, disc, x0: np.ndarray, x1: np.ndarray,
                                   use_perceptual=use_perceptual)
         g_loss = ad.add(g_adv, ad.mul(breakdown.weighted_total, lambda_adv))
 
-    d_loss = ad.mean(ad.softplus(ad.sub(d_real, disc(ad.stop_gradient(fake)))))
-    return g_loss, d_loss
+    return g_loss, disc_loss(disc, d_real, fake)
+
+
+def disc_loss(disc, d_real: Tensor, fake: Tensor) -> Tensor:
+    """softplus(D(real) - D(sg(fake))) averaged over the batch, given the
+    scores ``d_real`` of the real batch."""
+    return ad.mean(ad.softplus(ad.sub(d_real, disc(ad.stop_gradient(fake)))))

@@ -1,10 +1,13 @@
 """Flow-map network, dynamic loss-weighting head, low-rank adapters,
 discriminator, and sinusoidal time embeddings.
 
-All networks are plain MLPs over the autodiff engine.  The flow-map trunk
-consumes ``concat(x, embed(s), embed(t), cond_embedding)`` and returns an
+All networks are plain MLPs over the autodiff engine, one fused
+``ad.linear`` node per layer.  The flow-map trunk consumes
+``concat(x, embed(s), embed(t), cond_embedding)`` and returns an
 average-velocity estimate with the same shape as ``x``; evaluating on the
-diagonal s == t gives the instantaneous velocity.
+diagonal s == t gives the instantaneous velocity.  Low-rank adapters act on
+the activations, h @ W + b + gamma * (h @ B) @ A, so no adapted weight is
+ever formed.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
 
 
 class LowRankAdapter:
-    """Additive low-rank weight delta: W_eff = W + gamma * B @ A.
+    """Additive low-rank delta gamma * B @ A on a layer's weight, applied to
+    the activations: the layer computes h @ W + b + gamma * (h @ B) @ A.
 
     B is (fan_in, r) with a small random init, A is (r, fan_out) and starts
-    at zero so the effective weight equals the base weight exactly.
+    at zero so the layer first equals the base layer exactly.
     """
 
     def __init__(self, fan_in: int, fan_out: int, rank: int, rng: np.random.Generator):
@@ -66,7 +70,10 @@ class LowRankAdapter:
 
 
 def lora_effective_weight(W: Tensor, adapter: LowRankAdapter, gamma: float) -> Tensor:
-    """W + gamma * B @ A.  gamma = 0 recovers the base weight bit-exactly."""
+    """W + gamma * B @ A.  gamma = 0 recovers the base weight bit-exactly.
+
+    The reference for the adapter term of ``ad.linear``; forwards never
+    form this weight."""
     if adapter.B.shape[0] != W.shape[0] or adapter.A.shape[1] != W.shape[1]:
         raise ValueError("adapter factors do not conform to the base weight")
     if adapter.B.shape[1] != adapter.A.shape[0]:
@@ -165,12 +172,11 @@ class FlowMapModel:
 
         gamma = self.lora_train_scale if lora_scale is None else lora_scale
         for i in range(self.depth + 1):
-            W = self.params[f"layer{i}.W"]
+            B = A = None
             if self.lora is not None:
-                W = lora_effective_weight(W, self.lora[i], gamma)
-            h = ad.add(ad.matmul(h, W), self.params[f"layer{i}.b"])
-            if i < self.depth:
-                h = ad.silu(h)
+                B, A = self.lora[i].B, self.lora[i].A
+            h = ad.linear(h, self.params[f"layer{i}.W"], self.params[f"layer{i}.b"],
+                          silu=i < self.depth, B=B, A=A, gamma=gamma)
         return h
 
     __call__ = forward
@@ -200,8 +206,8 @@ class WeightNet:
             raise ValueError(f"need 0 <= s <= t <= 1, got ({s}, {t})")
         e = ad.concat([time_embed(s, self.time_dim), time_embed(t, self.time_dim)], axis=0)
         row = ad.broadcast_to(e, (1, 2 * self.time_dim))
-        h = ad.silu(ad.add(ad.matmul(row, self.params["w1"]), self.params["b1"]))
-        out = ad.add(ad.matmul(h, self.params["w2"]), self.params["b2"])
+        h = ad.linear(row, self.params["w1"], self.params["b1"], silu=True)
+        out = ad.linear(h, self.params["w2"], self.params["b2"])
         return ad.sum_(out)
 
     __call__ = forward
@@ -231,9 +237,8 @@ class Discriminator:
             raise ValueError(f"input dim {z.shape[-1]} != {self.state_dim}")
         h = z
         for i in range(3):
-            h = ad.add(ad.matmul(h, self.params[f"layer{i}.W"]), self.params[f"layer{i}.b"])
-            if i < 2:
-                h = ad.silu(h)
+            h = ad.linear(h, self.params[f"layer{i}.W"], self.params[f"layer{i}.b"],
+                          silu=i < 2)
         return h
 
     __call__ = forward

@@ -20,8 +20,8 @@ from .autodiff import Tensor
 from .data import DegradeOpts, PairBatch, gaussian_pair, gen_toy2d, texture_pairs
 from .interpolant import STANDARD
 from .io import load_checkpoint, save_checkpoint
-from .losses import (GuidanceContext, combined_loss, draw_guidance, fm_loss,
-                     rpgan_losses)
+from .losses import (GuidanceContext, combined_loss, disc_loss, draw_guidance, fm_loss,
+                     rpgan_losses, two_step_prediction)
 from .nets import COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet
 from .schedule import GridConfig, SSD, fm_pair, sample_pair
 
@@ -339,15 +339,21 @@ def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
             batch = task.sample(plan.batch_size, rng, with_negative=True)
             ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
             pair = sample_pair(plan.setting, plan.grid, rng)  # unused in pretraining
-            g_loss, d_loss = rpgan_losses(
-                model, disc, batch.x0, batch.x1, ctx, 0.0 if pretrain else plan.lambda_adv,
-                weightnet=weightnet, pair=pair, setting=plan.setting, sched=sched,
-                x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
-            if not pretrain:
+            g_cell = ""
+            if pretrain:
+                # the discriminator alone learns: no generator tape, no g_loss
+                with ad.no_grad():
+                    fake = two_step_prediction(model, batch.x1, ctx.cond)
+                d_loss = disc_loss(disc, disc(Tensor(batch.x0)), fake)
+            else:
+                g_loss, d_loss = rpgan_losses(
+                    model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
+                    weightnet=weightnet, pair=pair, setting=plan.setting, sched=sched,
+                    x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
                 update(g_loss, "adv", opt_lora)
+                g_cell = _fmt(g_loss.item())
             update(d_loss, "adv", opt_disc)
-            rows.append([str(step), "adv", "", "", "", "",
-                         "" if pretrain else _fmt(g_loss.item()), _fmt(d_loss.item())])
+            rows.append([str(step), "adv", "", "", "", "", g_cell, _fmt(d_loss.item())])
             step += 1
         model.set_trunk_trainable(True)
 

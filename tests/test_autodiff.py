@@ -8,6 +8,7 @@ import pytest
 
 from flowmaplab import autodiff as ad
 from flowmaplab.autodiff import Tensor
+from flowmaplab.nets import LowRankAdapter, lora_effective_weight
 
 
 def central_diff(f, x, h=1e-6):
@@ -181,6 +182,122 @@ class TestForwardMode:
         _, tang = ad.jvp_joint(f, Tensor(x0), 0.0, 0.5, dx, 0.0, 1.0)
         np.testing.assert_allclose(tang.data, 2 * x0 * dx * 0.5 + x0 ** 2, rtol=1e-12)
 
+
+
+def _chain(h, W, b, silu, adapter=None, gamma=1.0):
+    """The unfused layer: add(matmul(h, W_eff), b), then silu."""
+    if adapter is not None:
+        W = lora_effective_weight(W, adapter, gamma)
+    out = ad.add(ad.matmul(h, W), b)
+    return ad.silu(out) if silu else out
+
+
+def _layer_inputs(seed, tangents=True):
+    rng = np.random.default_rng(seed)
+    shapes = {"h": (5, 3), "W": (3, 4), "b": (4,)}
+    return {k: Tensor(rng.normal(size=s), requires_grad=True,
+                      tangent=rng.normal(size=s) if tangents else None)
+            for k, s in shapes.items()}, rng
+
+
+def _adapter(rng, rank=2):
+    a = LowRankAdapter(3, 4, rank, rng)
+    a.A.data = rng.normal(size=a.A.shape)  # off the zero init
+    a.B.tangent = rng.normal(size=a.B.shape)
+    a.A.tangent = rng.normal(size=a.A.shape)
+    return a
+
+
+def _run(layer, params, cot):
+    """The output node and the gradients of sum(out * cot)."""
+    out = layer()
+    g = ad.grad(ad.sum_(ad.mul(out, cot)), params)
+    return out, g
+
+
+class TestLinear:
+    @pytest.mark.parametrize("silu", [True, False])
+    def test_adapter_free_matches_chain_bit_for_bit(self, silu):
+        x, rng = _layer_inputs(20)
+        cot = rng.normal(size=(5, 4))
+        fused, gf = _run(lambda: ad.linear(x["h"], x["W"], x["b"], silu=silu), x, cot)
+        chain, gch = _run(lambda: _chain(x["h"], x["W"], x["b"], silu), x, cot)
+        assert fused.data.tobytes() == chain.data.tobytes()
+        assert fused.tangent.tobytes() == chain.tangent.tobytes()
+        for k in x:
+            assert gf[k].tobytes() == gch[k].tobytes(), k
+
+    @pytest.mark.parametrize("silu", [True, False])
+    def test_adapter_matches_effective_weight_chain(self, silu):
+        x, rng = _layer_inputs(21)
+        a = _adapter(rng)
+        params = {**x, "B": a.B, "A": a.A}
+        cot = rng.normal(size=(5, 4))
+        fused, gf = _run(lambda: ad.linear(x["h"], x["W"], x["b"], silu=silu,
+                                           B=a.B, A=a.A, gamma=1.5), params, cot)
+        chain, gch = _run(lambda: _chain(x["h"], x["W"], x["b"], silu, a, 1.5),
+                          params, cot)
+        assert rel_err(fused.data, chain.data) < 1e-12
+        assert rel_err(fused.tangent, chain.tangent) < 1e-12
+        for k in params:
+            assert rel_err(gf[k], gch[k]) < 1e-12, k
+
+    def test_adapter_grads_and_tangent_match_fd(self):
+        x, rng = _layer_inputs(22, tangents=False)
+        a = _adapter(rng)
+        for t in (a.B, a.A):
+            t.tangent = None
+        cot = rng.normal(size=(5, 4))
+
+        def f(B, A, h=x["h"].data):
+            with ad.no_grad():
+                out = ad.linear(h, x["W"], x["b"], silu=True, B=B, A=A, gamma=1.5)
+            return float(np.sum(out.data * cot))
+
+        _, g = _run(lambda: ad.linear(x["h"], x["W"], x["b"], silu=True,
+                                      B=a.B, A=a.A, gamma=1.5), {"B": a.B, "A": a.A}, cot)
+        assert rel_err(g["B"], central_diff(lambda B: f(B, a.A.data), a.B.data)) < 1e-7
+        assert rel_err(g["A"], central_diff(lambda A: f(a.B.data, A), a.A.data)) < 1e-7
+
+        v = rng.normal(size=x["h"].shape)
+        _, tang = ad.jvp(lambda z: ad.linear(z, x["W"], x["b"], silu=True,
+                                             B=a.B, A=a.A, gamma=1.5), x["h"], Tensor(v))
+        eps = 1e-6
+        with ad.no_grad():
+            fp, fm = (ad.linear(x["h"].data + d * v, x["W"], x["b"], silu=True,
+                                B=a.B, A=a.A, gamma=1.5).data for d in (eps, -eps))
+        assert rel_err(tang.data, (fp - fm) / (2 * eps)) < 1e-7
+
+    @pytest.mark.parametrize("with_adapter", [False, True])
+    def test_no_grad_output_equals_taped(self, with_adapter):
+        x, rng = _layer_inputs(23)
+        lora = {}
+        if with_adapter:
+            a = _adapter(rng)
+            lora = dict(B=a.B, A=a.A, gamma=0.7)
+        taped = ad.linear(x["h"], x["W"], x["b"], silu=True, **lora)
+        with ad.no_grad():
+            free = ad.linear(x["h"], x["W"], x["b"], silu=True, **lora)
+        assert taped.in_graph and not free.in_graph
+        assert taped.data.tobytes() == free.data.tobytes()
+        assert taped.tangent.tobytes() == free.tangent.tobytes()
+
+    def test_gamma_zero_is_the_base_layer(self):
+        x, rng = _layer_inputs(24)
+        a = _adapter(rng)
+        params = {**x, "B": a.B, "A": a.A}
+        cot = rng.normal(size=(5, 4))
+        off, g = _run(lambda: ad.linear(x["h"], x["W"], x["b"], silu=True,
+                                        B=a.B, A=a.A, gamma=0.0), params, cot)
+        base = ad.linear(x["h"], x["W"], x["b"], silu=True)
+        assert off.data.tobytes() == base.data.tobytes()
+        assert not g["B"].any() and not g["A"].any()
+
+    def test_nonconforming_adapter_rejected(self):
+        x, rng = _layer_inputs(25)
+        with pytest.raises(ValueError, match="do not conform"):
+            ad.linear(x["h"], x["W"], x["b"], B=Tensor(np.ones((3, 2))),
+                      A=Tensor(np.ones((2, 1))))
 
 def test_backward_requires_scalar():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -139,6 +139,22 @@ class TestLora:
         np.testing.assert_array_equal(off, base)
         assert not np.array_equal(on, base)
 
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_one_tape_node_per_layer(self, rank, monkeypatch):
+        # 15 input nodes (two time embeddings, the condition row, concat) and
+        # one fused node for each of the depth + 1 = 5 layers; the unfused
+        # chain made 29 nodes, and 44 with adapters
+        model = FlowMapModel(2, hidden=16, depth=4, time_dim=8, cond_dim=4,
+                             rng=np.random.default_rng(12))
+        if rank:
+            model.attach_lora(rank, np.random.default_rng(13))
+        made = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *a: made.append(1) or make(*a))
+        out = model(np.ones((3, 2)), 0.25, 0.75, COND_POSITIVE, lora_scale=1.0)
+        assert out.in_graph
+        assert len(made) <= 20
+
 
 class TestWeightNet:
     def test_zero_at_init_everywhere(self):

@@ -8,7 +8,7 @@ import pytest
 from flowmaplab import autodiff as ad
 from flowmaplab.autodiff import Tensor
 from flowmaplab.io import load_checkpoint, save_checkpoint
-from flowmaplab.nets import COND_NULL
+from flowmaplab.nets import COND_NULL, Discriminator, FlowMapModel
 from flowmaplab.runtime import (AdamW, Gaussian2DTask, METRICS_HEADER, PhasePlan,
                                 SamplerConfig, TextureSRTask, Toy2DTask, TrainAbort,
                                 evaluate_gaussian, evaluate_sr, gaussian_w2,
@@ -105,6 +105,48 @@ class TestTrainLoop:
     def test_toy2d_task_runs(self):
         res = train(tiny_plan(adv_steps=0), Toy2DTask(), seed=0)
         assert len(res.metrics_rows) == 12
+
+    def test_d_pretrain_builds_no_generator_tape(self, monkeypatch):
+        # ten d-pretrain steps need 2 untaped generator forwards and 2
+        # discriminator forwards each; the adversarial step needs 3 taped
+        # generator forwards (two-step fake, combined loss) and 3 scores
+        counts = {"taped": 0, "disc": 0}
+        fwd, score = FlowMapModel.forward, Discriminator.forward
+
+        def counted_fwd(self, *args, **kwargs):
+            counts["taped"] += ad.grad_enabled()
+            return fwd(self, *args, **kwargs)
+
+        def counted_score(self, *args, **kwargs):
+            counts["disc"] += 1
+            return score(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowMapModel, "__call__", counted_fwd)
+        monkeypatch.setattr(Discriminator, "__call__", counted_score)
+        res = train(tiny_plan(fm_steps=0, fmsd_steps=0, cfg_steps=0, d_pretrain_steps=10,
+                              adv_steps=1), Gaussian2DTask(), seed=0)
+        assert counts == {"taped": 3, "disc": 23}
+        assert [r[6] == "" for r in res.metrics_rows] == [True] * 10 + [False]
+
+    @pytest.mark.parametrize("setting", ["lsd", "esd", "ssd"])
+    def test_fused_layers_keep_adapter_free_training_bytes(self, setting, tmp_path,
+                                                           monkeypatch):
+        plan = tiny_plan(adv_steps=0, d_pretrain_steps=0, setting=setting)
+        fused = tmp_path / "fused.ckpt"
+        res = train(plan, Gaussian2DTask(), seed=4)
+        save_result(fused, res, "gaussian2d")
+
+        def unfused(h, W, b, silu=False, B=None, A=None, gamma=1.0):
+            out = ad.add(ad.matmul(h, W), b)
+            return ad.silu(out) if silu else out
+
+        monkeypatch.setattr(ad, "linear", unfused)
+        chain = tmp_path / "chain.ckpt"
+        ref = train(plan, Gaussian2DTask(), seed=4)
+        save_result(chain, ref, "gaussian2d")
+        assert res.metrics_csv() == ref.metrics_csv()
+        assert fused.read_bytes() == chain.read_bytes()
+        assert res.model.eval_count == ref.model.eval_count
 
 
 class TestSample:
