@@ -8,6 +8,7 @@ reproducible.  Pixel tasks live in [-1, 1].
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -90,26 +91,33 @@ def gaussian_pair(n: int, mu0, sigma0: float, mu1, sigma1: float,
 # -- procedural textures --------------------------------------------------
 #
 # The texture pipeline runs in two passes.  A draw pass makes every rng call
-# of an item, in the order of the per-image pipeline; no draw depends on a
-# pixel value.  A compute pass then renders the whole batch with the same
-# per-element arithmetic, so a batch is bitwise the one a per-image loop
-# gives.
+# of a batch in the order of the per-image pipeline; no draw depends on a
+# pixel value.  A texture's uniforms are one ``rng.random`` block, mapped to
+# their ranges as ``Generator.uniform`` maps them (lo + (hi - lo) * u), so
+# the values are the scalar draws' bit for bit; the other uniforms take the
+# same arithmetic in ``_uniform``.  A render pass then computes
+# the whole batch with the same per-element arithmetic, each image only
+# through the branches it drew, so a batch is bitwise the one a per-image
+# loop gives.
 
 _MAX_WAVES = 4
+_WAVE_SLOTS = 4 * _MAX_WAVES
 
 
-def _draw_texture(size: int, rng: np.random.Generator) -> tuple:
-    """2-4 wave rows (theta, freq, phase, amp), padded to four at zero
-    amplitude, then the step edge (theta, offset, amp)."""
-    waves = [(0.0, 0.0, 0.0, 0.0)] * _MAX_WAVES
-    for k in range(int(rng.integers(2, _MAX_WAVES + 1))):
-        theta = rng.uniform(0.0, np.pi)
-        freq = rng.uniform(0.5, 3.0) * 2.0 * np.pi / size
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        waves[k] = (theta, freq, phase, rng.uniform(0.3, 1.0))
-    theta = rng.uniform(0.0, np.pi)
-    offset = rng.uniform(0.25 * size, 0.75 * size)
-    return waves, (theta, offset, rng.uniform(0.2, 0.8))
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` bit for bit, lo + (hi - lo) * u on the same
+    double u, without the argument handling that triples its cost."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _texture_ranges(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi - lo of a texture's uniform slots: (theta, freq, phase, amp)
+    per wave, then the edge's (theta, offset, amp).  The widths are float64
+    differences, as ``Generator.uniform`` computes them."""
+    wave = [(0.0, np.pi), (0.5, 3.0), (0.0, 2.0 * np.pi), (0.3, 1.0)]
+    edge = [(0.0, np.pi), (0.25 * size, 0.75 * size), (0.2, 0.8)]
+    ranges = np.array(wave * _MAX_WAVES + edge)
+    return ranges[:, 0], ranges[:, 1] - ranges[:, 0]
 
 
 def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,9 +127,20 @@ def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """
     if size not in (8, 16, 32):
         raise ValueError("size must be one of 8, 16, 32")
-    drawn = [_draw_texture(size, rng) for _ in range(n)]
-    waves = np.array([w for w, _ in drawn]).reshape(n, _MAX_WAVES, 4)
-    edges = np.array([e for _, e in drawn]).reshape(n, 3)
+    # per texture: the wave count k, then one block of its 4k wave and 3
+    # edge uniforms, scattered row-major into the slots it fills
+    ks, blocks = [], []
+    for _ in range(n):
+        ks.append(int(rng.integers(2, _MAX_WAVES + 1)))
+        blocks.append(rng.random(4 * ks[-1] + 3))
+    ks = np.array(ks)
+    slot = np.arange(_WAVE_SLOTS + 3)
+    table = np.zeros((n, slot.size))
+    table[(slot < 4 * ks[:, None]) | (slot >= _WAVE_SLOTS)] = np.concatenate(blocks)
+    lo, width = _texture_ranges(size)
+    table = lo + width * table  # slots past a texture's k-th wave are never read
+    waves, edges = table[:, :_WAVE_SLOTS].reshape(n, _MAX_WAVES, 4), table[:, _WAVE_SLOTS:]
+    waves[..., 1] = waves[..., 1] * 2.0 * np.pi / size
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
 
     def columns(rows):  # (n, k) draws -> k contiguous (n, 1, 1) arrays
@@ -130,10 +149,12 @@ def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     def along(theta):
         return np.cos(theta) * xx + np.sin(theta) * yy
 
+    # each wave only on the textures that drew it, as a per-image loop adds it
     img = np.zeros((n, size, size))
     for k in range(_MAX_WAVES):
-        theta, freq, phase, amp = columns(waves[:, k])
-        img += amp * np.sin(freq * along(theta) + phase)
+        has = np.flatnonzero(ks > k)
+        theta, freq, phase, amp = columns(waves[has, k])
+        img[has] += amp * np.sin(freq * along(theta) + phase)
     theta, offset, amp = columns(edges)
     img += amp * np.where(along(theta) > offset, 1.0, -1.0)
     peak = np.abs(img).max(axis=(1, 2))
@@ -144,38 +165,55 @@ def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 # -- resampling and degradation -------------------------------------------
 
 
-def _resize(img: np.ndarray, out_h: int, out_w: int, mode: str) -> np.ndarray:
-    """Nearest or bilinear resize over the last two axes of an image or a
-    stack of images."""
-    in_h, in_w = img.shape[-2:]
-    if (in_h, in_w) == (out_h, out_w):
-        return img.copy()
+@functools.lru_cache(maxsize=256)
+def _resize_tables(in_h: int, in_w: int, out_h: int, out_w: int, mode: str) -> tuple:
+    """Read-only gather indices (and bilinear weights) of one resize."""
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     if mode == "nearest":
-        yi = np.clip(np.round(ys).astype(int), 0, in_h - 1)
+        yi = np.clip(np.round(ys).astype(int), 0, in_h - 1)[:, None]
         xi = np.clip(np.round(xs).astype(int), 0, in_w - 1)
-        return img[..., yi[:, None], xi]
-    if mode == "bilinear":
+        tables = (yi, xi)
+    elif mode == "bilinear":
         y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)[:, None]
         y1 = np.clip(y0 + 1, 0, in_h - 1)
         x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
         x1 = np.clip(x0 + 1, 0, in_w - 1)
         wy = np.clip(ys[:, None] - y0, 0.0, 1.0)
         wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-        top = img[..., y0, x0] * (1 - wx) + img[..., y0, x1] * wx
-        bot = img[..., y1, x0] * (1 - wx) + img[..., y1, x1] * wx
-        return top * (1 - wy) + bot * wy
-    raise ValueError(f"unknown interpolation mode {mode!r}")
+        tables = (y0, y1, x0, x1, wy, wx)
+    else:
+        raise ValueError(f"unknown interpolation mode {mode!r}")
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _resize(img: np.ndarray, out_h: int, out_w: int, mode: str) -> np.ndarray:
+    """Nearest or bilinear resize over the last two axes of an image or a
+    stack of images."""
+    in_h, in_w = img.shape[-2:]
+    if (in_h, in_w) == (out_h, out_w):
+        return img.copy()
+    if mode == "nearest":
+        yi, xi = _resize_tables(in_h, in_w, out_h, out_w, mode)
+        return img[..., yi, xi]
+    y0, y1, x0, x1, wy, wx = _resize_tables(in_h, in_w, out_h, out_w, mode)
+    top = img[..., y0, x0] * (1 - wx) + img[..., y0, x1] * wx
+    bot = img[..., y1, x0] * (1 - wx) + img[..., y1, x1] * wx
+    return top * (1 - wy) + bot * wy
 
 
 def _resize_each(imgs: np.ndarray, out_h: int, out_w: int, modes: list) -> np.ndarray:
-    """Resize a stack, each image with its own mode."""
+    """Resize a stack, each image with its own mode and only through it."""
     if len(set(modes)) == 1:
         return _resize(imgs, out_h, out_w, modes[0])
-    near = np.array([m == "nearest" for m in modes])[:, None, None]
-    return np.where(near, _resize(imgs, out_h, out_w, "nearest"),
-                    _resize(imgs, out_h, out_w, "bilinear"))
+    out = np.empty(imgs.shape[:-2] + (out_h, out_w))
+    modes = np.array(modes)
+    for mode in ("nearest", "bilinear"):
+        sel = np.flatnonzero(modes == mode)
+        out[sel] = _resize(imgs[sel], out_h, out_w, mode)
+    return out
 
 
 _BLUR_KERNEL = np.array([1.0, 2.0, 1.0]) / 4.0  # 3x3 binomial, separable
@@ -220,7 +258,7 @@ def _draw_degrade(size: int, s_down: float, opts: DegradeOpts,
     std = noise = None
     if opts.noise_std_max > 0.0 or opts.shot_noise_scale > 0.0:
         if rng.random() < 0.5:
-            std = rng.uniform(0.0, opts.noise_std_max)
+            std = _uniform(rng, 0.0, opts.noise_std_max)
         noise = rng.standard_normal((lo, lo))
     up = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
     return _Degrade(blur, lo, down, std, noise, up)
@@ -228,25 +266,35 @@ def _draw_degrade(size: int, s_down: float, opts: DegradeOpts,
 
 def _render_degrade(hrs: np.ndarray, jobs: list, opts: DegradeOpts) -> np.ndarray:
     """Blur -> downscale -> noise -> quantize -> resize-back -> blur -> clamp,
-    one drawn degradation per image of the (m, h, w) stack ``hrs``.
+    one drawn degradation per job; job j degrades image j % n of the
+    (n, h, w) stack ``hrs``.
 
-    The low-res stages run once per low-res size; both resize modes are
-    computed there and picked per image."""
-    _, h, w = hrs.shape
-    blur = np.array([j.blur for j in jobs], dtype=bool)[:, None, None]
-    img = np.where(blur, _blur(hrs), hrs)
-    out = np.empty_like(img)
+    The first blur runs once per image that any of its jobs blurs.  The
+    low-res stages run once per low-res size, and there each resize mode and
+    each noise branch only on the jobs that drew it."""
+    n, h, w = hrs.shape
+    image = np.arange(len(jobs)) % n
+    blur = np.array([j.blur for j in jobs], dtype=bool)
+    blurred = np.unique(image[blur])
+    # each job's input: its image in hrs, or that image's blur after them
+    pool = np.concatenate([hrs, _blur(hrs[blurred])])
+    src = np.where(blur, n + np.searchsorted(blurred, image), image)
+    out = np.empty((len(jobs), h, w))
     los = np.array([j.lo for j in jobs], dtype=int)
-    for lo in sorted(set(los.tolist())):
+    for lo in np.unique(los):
         idx = np.flatnonzero(los == lo)
         group = [jobs[i] for i in idx]
-        low = _resize_each(img[idx], lo, lo, [j.down for j in group])
+        low = _resize_each(pool[src[idx]], lo, lo, [j.down for j in group])
         if group[0].noise is not None:
-            noise = np.stack([j.noise for j in group])
-            gauss = np.array([j.std is not None for j in group])[:, None, None]
-            std = np.array([j.std if j.std is not None else 0.0 for j in group])
-            low = np.where(gauss, low + std[:, None, None] * noise,
-                           low + opts.shot_noise_scale * np.sqrt(np.abs(low) + 1.0) * noise)
+            gauss = [i for i, j in enumerate(group) if j.std is not None]
+            shot = [i for i, j in enumerate(group) if j.std is None]
+            if gauss:
+                std = np.array([group[i].std for i in gauss])[:, None, None]
+                low[gauss] = low[gauss] + std * np.stack([group[i].noise for i in gauss])
+            if shot:
+                part = low[shot]
+                low[shot] = part + opts.shot_noise_scale * np.sqrt(np.abs(part) + 1.0) \
+                    * np.stack([group[i].noise for i in shot])
         if opts.quant_levels:
             low = _quantize(low, opts.quant_levels)
         out[idx] = _resize_each(low, h, w, [j.up for j in group])
@@ -266,13 +314,12 @@ def texture_pairs(n: int, size: int, opts: DegradeOpts, rng: np.random.Generator
     s_downs = np.empty(n)
     jobs, neg_jobs = [], []
     for i in range(n):
-        sd = float(rng.uniform(0.1, 1.0)) if s_down is None else float(s_down)
+        sd = _uniform(rng, 0.1, 1.0) if s_down is None else float(s_down)
         s_downs[i] = sd
         jobs.append(_draw_degrade(size, sd, opts, rng))
         if with_negative:
-            neg_jobs.append(_draw_degrade(size, rng.uniform(sd, 1.0), opts, rng))
-    src = np.concatenate([hrs, hrs]) if with_negative else hrs
-    out = _render_degrade(src, jobs + neg_jobs, opts).reshape(len(src), -1)
+            neg_jobs.append(_draw_degrade(size, _uniform(rng, sd, 1.0), opts, rng))
+    out = _render_degrade(hrs, jobs + neg_jobs, opts).reshape(-1, size * size)
     return PairBatch(x0=hrs.reshape(n, -1), x1=out[:n], s_down=s_downs,
                      x0_neg=out[n:] if with_negative else None)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,14 +73,22 @@ def _shape(dims: str) -> tuple | None:
 
 def load_checkpoint(path):
     # parsed in memory, so a corrupt shape cannot make read() allocate its size
-    fh = io.BytesIO(Path(path).read_bytes())
-    if fh.readline() != MAGIC:
+    blob = Path(path).read_bytes()
+    fh = io.BytesIO(blob)
+    magic = fh.readline()
+    if magic != MAGIC:
+        version = re.fullmatch(rb"FLOWMAPCKPT(\d+)\n", magic)
+        if version:
+            raise ValueError(f"{path}: checkpoint format version "
+                             f"{version[1].decode()} is not supported, only version 1")
         raise ValueError(f"{path}: not a checkpoint file")
     metadata = {}
     for _ in range(_count(fh, path, "meta")):
         key, sep, val = _line(fh, path, "metadata line").partition("=")
         if not sep:
             raise ValueError(f"{path}: malformed checkpoint metadata line {key!r}")
+        if key in metadata:
+            raise ValueError(f"{path}: metadata key {key!r} appears twice")
         metadata[key] = val
     tensors = {}
     for _ in range(_count(fh, path, "tensors")):
@@ -91,12 +100,15 @@ def load_checkpoint(path):
         name = fields[1]
         if name in tensors:
             raise ValueError(f"{path}: tensor {name!r} appears twice")
-        want = 8 * math.prod(shape)
-        raw = fh.read(want)
-        if len(raw) != want:
+        want, left = 8 * math.prod(shape), len(blob) - fh.tell()
+        if want > left:
             raise ValueError(f"{path}: truncated checkpoint, tensor {name!r} has "
-                             f"{len(raw)} of {want} payload bytes")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                             f"{left} of {want} payload bytes")
+        try:
+            tensors[name] = np.frombuffer(fh.read(want), dtype="<f8").reshape(shape).copy()
+        except ValueError as err:  # more dimensions than numpy supports
+            raise ValueError(f"{path}: malformed checkpoint tensor header "
+                             f"{header!r}: {err}") from None
     trailing = len(fh.read())
     if trailing:
         raise ValueError(f"{path}: {trailing} trailing bytes after the last tensor")

@@ -271,9 +271,10 @@ def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
 def two_step_prediction(model, x1: np.ndarray, cond: int,
                         lora_scale: float | None = None) -> Tensor:
     """x1 -> t=1/2 -> t=0 under the flow-map update; the midpoint state is
-    detached so no higher-order derivatives arise."""
-    u_top = model(x1, 0.5, 1.0, cond, lora_scale=lora_scale)
-    x_half = np.asarray(x1, dtype=np.float64) - 0.5 * u_top.data  # detach midpoint
+    detached, so the top half-step records no tape."""
+    with ad.no_grad():
+        u_top = model(x1, 0.5, 1.0, cond, lora_scale=lora_scale)
+    x_half = np.asarray(x1, dtype=np.float64) - 0.5 * u_top.data
     u_bot = model(x_half, 0.0, 0.5, cond, lora_scale=lora_scale)
     return ad.sub(Tensor(x_half), ad.mul(u_bot, 0.5))
 

@@ -12,6 +12,7 @@ ever formed.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,14 +26,16 @@ COND_NULL = 2
 COND_NAMES = {"positive": COND_POSITIVE, "negative": COND_NEGATIVE, "null": COND_NULL}
 
 
+@functools.lru_cache(maxsize=32)
 def embed_frequencies(dim: int) -> np.ndarray:
-    """Geometric frequencies for a sinusoidal encoding of a time in [0, 1]."""
+    """Geometric frequencies for a sinusoidal encoding of a time in [0, 1],
+    one read-only table per ``dim``."""
     if dim % 2 != 0:
         raise ValueError("embedding dim must be even")
     k = dim // 2
-    if k == 1:
-        return np.array([1.0])
-    return np.exp(np.linspace(0.0, math.log(1000.0), k))
+    freqs = np.array([1.0]) if k == 1 else np.exp(np.linspace(0.0, math.log(1000.0), k))
+    freqs.setflags(write=False)
+    return freqs
 
 
 def time_embed(t, dim: int) -> Tensor:

@@ -299,10 +299,12 @@ def test_interp_modes_validated():
 OPTS_VARIANTS = {
     "default": {},
     "no-blur": {"blur_prob": 0.0},
+    "always-blur": {"blur_prob": 1.0},
     "no-quant": {"quant_levels": 0},
     "no-noise": {"noise_std_max": 0.0, "shot_noise_scale": 0.0},
     "no-final-blur": {"final_blur": False},
     "bilinear-only": {"interp_modes": ("bilinear",)},
+    "nearest-only": {"interp_modes": ("nearest",)},
 }
 
 
@@ -323,6 +325,25 @@ def test_batch_equals_per_image_reference(variant):
             else:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (case, field)
         assert rng_ref.random() == rng.random(), case  # same number of draws
+
+
+@pytest.mark.parametrize("variant", list(OPTS_VARIANTS))
+def test_large_batch_equals_per_image_reference(variant):
+    # 64 items at downscales drawn per item: at size 32 many low-res sizes
+    # hold one image, so one resize mode and one noise branch there render
+    # no image at all
+    opts = DegradeOpts(**OPTS_VARIANTS[variant])
+    for size, neg in itertools.product((8, 16, 32), (False, True)):
+        rng_ref, rng = np.random.default_rng(13), np.random.default_rng(13)
+        want = ref_pairs(64, size, opts, rng_ref, with_negative=neg)
+        got = TextureSRTask(size, opts).sample(64, rng, with_negative=neg)
+        for field in ("x0", "x1", "s_down", "x0_neg"):
+            a, b = getattr(want, field), getattr(got, field)
+            if a is None:
+                assert b is None, (size, neg, field)
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (size, neg, field)
+        assert rng_ref.random() == rng.random(), (size, neg)  # same number of draws
 
 
 def test_pgm_roundtrip(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowmaplab.io import MAGIC, load_checkpoint, save_checkpoint
 
@@ -111,3 +113,79 @@ def test_save_refuses_unreadable_metadata(tmp_path, meta):
 def test_save_refuses_unreadable_tensor_name(tmp_path, name):
     with pytest.raises(ValueError, match="cannot be stored"):
         save_checkpoint(tmp_path / "m.ckpt", {name: np.zeros(2)}, {})
+
+
+# -- corrupt files: refused with a ValueError naming the file, never another error
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _refused(path) -> str:
+    """Load ``path``, which must fail with a ValueError naming it."""
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: "), err.value
+    return str(err.value)
+
+
+def _preamble_end(raw: bytes) -> int:
+    """Offset of the first payload byte: past the first tensor header."""
+    return raw.index(b"\n", raw.index(b"\ntensor ") + 1) + 1
+
+
+def test_refuses_every_truncation(tmp_path):
+    raw = _saved(tmp_path).read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        _refused(cut)
+
+
+@FUZZ
+@given(junk=st.binary(min_size=1, max_size=64), prefix=st.booleans())
+def test_refuses_junk_prefix_or_suffix(tmp_path, junk, prefix):
+    raw = _saved(tmp_path).read_bytes()
+    path = tmp_path / "junk.ckpt"
+    path.write_bytes(junk + raw if prefix else raw + junk)
+    _refused(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_preamble_byte_flips_load_or_are_refused(tmp_path, data):
+    # a flip that keeps the preamble well-formed (a metadata digit, a letter of
+    # a tensor name) is a different valid file; any other must be refused
+    raw = bytearray(_saved(tmp_path).read_bytes())
+    at = data.draw(st.integers(0, _preamble_end(raw) - 1), label="offset")
+    raw[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path = tmp_path / "flip.ckpt"
+    path.write_bytes(bytes(raw))
+    if at < len(MAGIC) or raw[at] >= 0x80:
+        _refused(path)
+    else:
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            _refused(path)
+
+
+@pytest.mark.parametrize("version", [b"0", b"2", b"10"])
+def test_refuses_other_format_versions(tmp_path, version):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes().replace(MAGIC, b"FLOWMAPCKPT" + version + b"\n", 1))
+    assert f"checkpoint format version {version.decode()} is not supported" in _refused(path)
+
+
+def test_refuses_duplicate_metadata_key(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"task=gaussian2d\n", b"depth=3\n"))
+    assert "metadata key 'depth' appears twice" in _refused(path)
+
+
+@pytest.mark.parametrize("dims", ["99999999999999999999", ",".join(["1"] * 70)])
+def test_refuses_impossible_shapes(tmp_path, dims):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"x": np.zeros(1)}, {})
+    path.write_bytes(path.read_bytes().replace(b"tensor x 1\n", f"tensor x {dims}\n".encode()))
+    _refused(path)

@@ -108,8 +108,9 @@ class TestTrainLoop:
 
     def test_d_pretrain_builds_no_generator_tape(self, monkeypatch):
         # ten d-pretrain steps need 2 untaped generator forwards and 2
-        # discriminator forwards each; the adversarial step needs 3 taped
-        # generator forwards (two-step fake, combined loss) and 3 scores
+        # discriminator forwards each; the adversarial step needs 2 taped
+        # generator forwards (the fake's bottom half-step, combined loss) and
+        # 3 scores
         counts = {"taped": 0, "disc": 0}
         fwd, score = FlowMapModel.forward, Discriminator.forward
 
@@ -125,7 +126,7 @@ class TestTrainLoop:
         monkeypatch.setattr(Discriminator, "__call__", counted_score)
         res = train(tiny_plan(fm_steps=0, fmsd_steps=0, cfg_steps=0, d_pretrain_steps=10,
                               adv_steps=1), Gaussian2DTask(), seed=0)
-        assert counts == {"taped": 3, "disc": 23}
+        assert counts == {"taped": 2, "disc": 23}
         assert [r[6] == "" for r in res.metrics_rows] == [True] * 10 + [False]
 
     @pytest.mark.parametrize("setting", ["lsd", "esd", "ssd"])

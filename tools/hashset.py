@@ -1,0 +1,81 @@
+"""Print the byte-identity hash set of a flowmaplab checkout.
+
+    python3 tools/hashset.py
+
+Each line is one training run: its name, the sha256 of its `metrics.csv`
+bytes followed by its `save_result` checkpoint bytes, and the model's
+`eval_count` after `train`.  Run it on two checkouts and `diff` the outputs;
+equal lines mean byte-identical training.
+
+The runs:
+  * 18 adapter-free tiny runs (`adv_steps = d_pretrain_steps = 0`) and the
+    same 18 with the adversarial phases: task gaussian2d (g2d), two-Gaussian
+    toy2d (toy) or texture_sr size 8 (sr8), setting lsd/esd/ssd, seed 0/7;
+    plan fm 3, fmsd 5, cfg 6, d-pretrain 2, adv 3, batch 16, hidden 16,
+    depth 2, drop_prob 0.3, other fields at their `PhasePlan` defaults;
+  * two runs at the default model size (hidden 256, depth 4, batch 256),
+    fm 2, fmsd 2, cfg 2, d-pretrain 1, adv 2, seed 5: gaussian2d lsd and
+    texture_sr size 16 ssd.
+BLAS is pinned to one thread; the whole set takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from flowmaplab.runtime import (Gaussian2DTask, PhasePlan, TextureSRTask,  # noqa: E402
+                                Toy2DTask, save_result, train)
+
+TINY = dict(fm_steps=3, fmsd_steps=5, cfg_steps=6, d_pretrain_steps=2, adv_steps=3,
+            batch_size=16, hidden=16, depth=2, drop_prob=0.3)
+DEFAULT_SIZE = dict(fm_steps=2, fmsd_steps=2, cfg_steps=2, d_pretrain_steps=1, adv_steps=2)
+TASKS = {
+    "g2d": ("gaussian2d", Gaussian2DTask),
+    "toy": ("toy2d", Toy2DTask),
+    "sr8": ("texture_sr", lambda: TextureSRTask(8)),
+    "sr16": ("texture_sr", lambda: TextureSRTask(16)),
+}
+
+
+def runs():
+    """(name, task key, plan, seed) for every run of the set."""
+    for adv in (False, True):
+        for task in ("g2d", "toy", "sr8"):
+            for setting in ("lsd", "esd", "ssd"):
+                for seed in (0, 7):
+                    over = {} if adv else {"adv_steps": 0, "d_pretrain_steps": 0}
+                    plan = PhasePlan(**{**TINY, **over, "setting": setting})
+                    kind = "adv" if adv else "plain"
+                    yield f"{kind} {task} {setting} {seed}", task, plan, seed
+    yield "default g2d lsd 5", "g2d", PhasePlan(**DEFAULT_SIZE, setting="lsd"), 5
+    yield "default sr16 ssd 5", "sr16", PhasePlan(**DEFAULT_SIZE, setting="ssd"), 5
+
+
+def digest(task_key: str, plan: PhasePlan, seed: int, tmp: Path) -> tuple[str, int]:
+    task_name, make = TASKS[task_key]
+    res = train(plan, make(), seed=seed)
+    ckpt = tmp / "model.ckpt"
+    save_result(ckpt, res, task_name)
+    blob = res.metrics_csv().encode("ascii") + ckpt.read_bytes()
+    return hashlib.sha256(blob).hexdigest(), res.model.eval_count
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, task_key, plan, seed in runs():
+            sha, evals = digest(task_key, plan, seed, Path(tmp))
+            print(f"{name:<20} {sha} {evals}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
