@@ -89,8 +89,11 @@ class Tensor:
     def backward(self):
         """Reverse-mode accumulation from this scalar node.
 
-        Gradients land on the leaves; interior ``.grad`` values are cleared
-        once the sweep is done, so a second call starts from zero.
+        Gradients land on the leaves.  Each interior node's cotangent is
+        freed as soon as its own backward has run: in reverse topological
+        order it is complete by then and nothing reads it again.  If a
+        backward raises, every interior ``.grad`` is still cleared, so a
+        second call starts from zero.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss node")
@@ -115,6 +118,7 @@ class Tensor:
             for node in reversed(topo):
                 if node._backward is not None and node.grad is not None:
                     node._backward(node.grad)
+                    node.grad = None
         finally:
             for node in topo:
                 if node._backward is not None:
@@ -496,17 +500,21 @@ def stop_gradient(a) -> Tensor:
 def grad(loss: Tensor, params: dict) -> dict:
     """Reverse-mode partials of a scalar ``loss`` w.r.t. named parameters.
 
-    Parameters not reached by the loss map to zero arrays.
+    Parameters not reached by the loss map to zero arrays.  The returned
+    arrays belong to the caller: each requested parameter's ``.grad`` is
+    reset to None, so no gradient outlives the caller's use of it.
     """
     if loss.data.size != 1:
         raise ValueError("grad() requires a scalar loss")
     for p in params.values():
         p.grad = None
-    loss.backward()
-    out = {}
-    for name, p in params.items():
-        out[name] = np.zeros(p.shape) if p.grad is None else p.grad
-    return out
+    try:
+        loss.backward()
+        return {name: np.zeros(p.shape) if p.grad is None else p.grad
+                for name, p in params.items()}
+    finally:
+        for p in params.values():
+            p.grad = None
 
 
 def jvp(f, x: Tensor, v: Tensor):

@@ -259,7 +259,16 @@ class TrainResult:
 
 
 def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
-    """Run the four phases and return the trained components plus metrics."""
+    """Run the four phases and return the trained components plus metrics.
+
+    Each step is one call that returns its metrics row, so every Tensor it
+    builds (loss, breakdown, fake and their tapes) dies when it returns;
+    an adversarial step also drops the generator's tape right after the
+    generator update.  The trunk and weighting-head optimizers, with their
+    moments, are dropped when phase 4 starts, since neither steps again;
+    both are frozen through phase 4, so no backward computes or keeps
+    their gradients there.
+    """
     rng = np.random.default_rng(seed)
     model = FlowMapModel(task.state_dim, hidden=plan.hidden, depth=plan.depth,
                          time_dim=plan.time_dim, cond_dim=plan.cond_dim,
@@ -291,37 +300,66 @@ def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
     # vector tasks where a 2x pool has no spatial meaning
     use_perc = plan.use_perceptual and task.image_hw is not None
 
-    # phase 1: flow-matching warm start on diagonal pairs at the finest grid
-    for _ in range(plan.fm_steps):
+    def fm_step() -> list:
+        """Phase 1: flow matching on a diagonal pair at the finest grid."""
         batch = task.sample(plan.batch_size, rng)
         pair = fm_pair(plan.grid, rng)
         loss = fm_loss(model, batch.x0, batch.x1, pair.t_value, sched, COND_NULL)
         opt_model.lr = plan.lr_model * decay(step)
         update(loss, "fm", opt_model)
-        rows.append([str(step), "fm", _fmt(loss.item()), "", _fmt(loss.item()),
-                     "", "", ""])
-        step += 1
+        return [str(step), "fm", _fmt(loss.item()), "", _fmt(loss.item()), "", "", ""]
 
-    # phases 2 and 3: combined objective, then guidance
+    def main_step(phase: str) -> list:
+        """Phases 2 and 3: the combined objective, then with guidance."""
+        use_cfg = phase == "cfg"
+        batch = task.sample(plan.batch_size, rng, with_negative=use_cfg)
+        pair = sample_pair(plan.setting, plan.grid, rng)
+        ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob) \
+            if use_cfg else None
+        breakdown = combined_loss(model, weightnet, batch.x0, batch.x1, pair,
+                                  plan.setting, sched, ctx=ctx,
+                                  x0_neg=batch.x0_neg, image_hw=task.image_hw,
+                                  use_perceptual=use_perc)
+        total = breakdown.weighted_total
+        opt_model.lr = plan.lr_model * decay(step)
+        opt_wn.lr = plan.lr_weightnet * decay(step)
+        update(total, phase, opt_model, opt_wn)
+        return [str(step), phase, _fmt(breakdown.main.item()),
+                _fmt(breakdown.perceptual.item()), _fmt(total.item()),
+                _fmt(breakdown.lam), "", ""]
+
+    def adv_step(pretrain: bool) -> list:
+        """Phase 4: the discriminator alone while ``pretrain``, else the
+        adapters and then the discriminator."""
+        batch = task.sample(plan.batch_size, rng, with_negative=True)
+        ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
+        pair = sample_pair(plan.setting, plan.grid, rng)  # unused in pretraining
+        g_cell = ""
+        if pretrain:
+            # the discriminator alone learns: no generator tape, no g_loss
+            with ad.no_grad():
+                fake = two_step_prediction(model, batch.x1, ctx.cond)
+            d_loss = disc_loss(disc, disc(Tensor(batch.x0)), fake)
+        else:
+            g_loss, d_loss = rpgan_losses(
+                model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
+                weightnet=weightnet, pair=pair, setting=plan.setting, sched=sched,
+                x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
+            update(g_loss, "adv", opt_lora)
+            g_cell = _fmt(g_loss.item())
+            del g_loss  # frees the generator tape: d_loss does not reach it
+        update(d_loss, "adv", opt_disc)
+        return [str(step), "adv", "", "", "", "", g_cell, _fmt(d_loss.item())]
+
+    for _ in range(plan.fm_steps):
+        rows.append(fm_step())
+        step += 1
     for phase, n_steps in (("fmsd", plan.fmsd_steps), ("cfg", plan.cfg_steps)):
         for _ in range(n_steps):
-            use_cfg = phase == "cfg"
-            batch = task.sample(plan.batch_size, rng, with_negative=use_cfg)
-            pair = sample_pair(plan.setting, plan.grid, rng)
-            ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob) \
-                if use_cfg else None
-            breakdown = combined_loss(model, weightnet, batch.x0, batch.x1, pair,
-                                      plan.setting, sched, ctx=ctx,
-                                      x0_neg=batch.x0_neg, image_hw=task.image_hw,
-                                      use_perceptual=use_perc)
-            total = breakdown.weighted_total
-            opt_model.lr = plan.lr_model * decay(step)
-            opt_wn.lr = plan.lr_weightnet * decay(step)
-            update(total, phase, opt_model, opt_wn)
-            rows.append([str(step), phase, _fmt(breakdown.main.item()),
-                         _fmt(breakdown.perceptual.item()), _fmt(total.item()),
-                         _fmt(breakdown.lam), "", ""])
+            rows.append(main_step(phase))
             step += 1
+    # neither main-phase optimizer steps again
+    del opt_model, opt_wn
 
     # phase 4: adversarial fine-tuning of adapters and discriminator only,
     # after d_pretrain_steps that train the discriminator alone
@@ -331,31 +369,16 @@ def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
         model.attach_lora(plan.lora_rank, np.random.default_rng(seed + 4))
         model.lora_train_scale = plan.lora_train_scale
         model.set_trunk_trainable(False)
+        for p in weightnet.params.values():  # the weighting head is fixed too
+            p.requires_grad = False
         opt_lora = AdamW(model.lora_params(), plan.lr_model)
         opt_disc = AdamW(disc.trainable_params(), plan.lr_disc)
-
         for i in range(plan.d_pretrain_steps + plan.adv_steps):
-            pretrain = i < plan.d_pretrain_steps
-            batch = task.sample(plan.batch_size, rng, with_negative=True)
-            ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
-            pair = sample_pair(plan.setting, plan.grid, rng)  # unused in pretraining
-            g_cell = ""
-            if pretrain:
-                # the discriminator alone learns: no generator tape, no g_loss
-                with ad.no_grad():
-                    fake = two_step_prediction(model, batch.x1, ctx.cond)
-                d_loss = disc_loss(disc, disc(Tensor(batch.x0)), fake)
-            else:
-                g_loss, d_loss = rpgan_losses(
-                    model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
-                    weightnet=weightnet, pair=pair, setting=plan.setting, sched=sched,
-                    x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
-                update(g_loss, "adv", opt_lora)
-                g_cell = _fmt(g_loss.item())
-            update(d_loss, "adv", opt_disc)
-            rows.append([str(step), "adv", "", "", "", "", g_cell, _fmt(d_loss.item())])
+            rows.append(adv_step(i < plan.d_pretrain_steps))
             step += 1
         model.set_trunk_trainable(True)
+        for p in weightnet.params.values():
+            p.requires_grad = True
 
     return TrainResult(model=model, weightnet=weightnet, disc=disc,
                        metrics_rows=rows, plan=plan)

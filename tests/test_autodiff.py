@@ -1,6 +1,7 @@
 """Reverse-mode gradients and forward-mode tangents against finite differences."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -337,3 +338,32 @@ def test_tape_freed_without_cyclic_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_grad_resets_requested_grads():
+    loss, W, _ = _mlp_loss()
+    g = ad.grad(loss, {"W": W})["W"]
+    assert W.grad is None
+    assert np.any(g != 0.0)
+
+
+def test_backward_frees_each_cotangent_once_used():
+    # a 30-op elementwise chain: every interior cotangent dies as soon as
+    # its own backward has run, so the sweep holds a few arrays at a time
+    # rather than one per op
+    x = Tensor(np.random.default_rng(0).normal(size=(256, 256)), requires_grad=True)
+    ops = (ad.sin, ad.silu, lambda t: ad.mul(t, 0.5), ad.square, ad.cos,
+           lambda t: ad.add(t, 1.0))
+    y = x
+    for i in range(30):
+        y = ops[i % len(ops)](y)
+    loss = ad.sum_(y)
+    del y
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ad.grad(loss, {"x": x})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.data.nbytes

@@ -1,11 +1,14 @@
 """Trainer phases, optimizer, sampler, metrics, and persistence."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from flowmaplab import autodiff as ad
+from flowmaplab import runtime as rt
 from flowmaplab.autodiff import Tensor
 from flowmaplab.io import load_checkpoint, save_checkpoint
 from flowmaplab.nets import COND_NULL, Discriminator, FlowMapModel
@@ -148,6 +151,109 @@ class TestTrainLoop:
         assert res.metrics_csv() == ref.metrics_csv()
         assert fused.read_bytes() == chain.read_bytes()
         assert res.model.eval_count == ref.model.eval_count
+
+
+class TestLifetimes:
+    """What a training step builds dies with the step (acyclic tapes, so
+    reference counting alone frees them: cyclic gc stays off)."""
+
+    @staticmethod
+    def _tensors(out):
+        if isinstance(out, Tensor):
+            return [out]
+        items = out if isinstance(out, tuple) else vars(out).values()
+        return [t for t in items if isinstance(t, Tensor)]
+
+    def _run(self, plan, on_draw):
+        """Train with ``on_draw(draw index)`` called at every batch draw."""
+        class HookedTask(Gaussian2DTask):
+            draws = 0
+
+            def sample(self, n, rng, with_negative=False):
+                on_draw(HookedTask.draws)
+                HookedTask.draws += 1
+                return super().sample(n, rng, with_negative)
+
+        gc.disable()
+        try:
+            return train(plan, HookedTask(), seed=0)
+        finally:
+            gc.enable()
+
+    def test_no_step_tensor_alive_at_next_draw(self, monkeypatch):
+        # fm, fmsd and cfg losses, the d-pretrain fake and loss, and the
+        # adversarial g_loss and d_loss
+        refs, alive = [], []
+
+        def recorded(fn, kind):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                refs.extend((kind, weakref.ref(t)) for t in self._tensors(out))
+                return out
+            return wrapped
+
+        for name in ("fm_loss", "combined_loss", "two_step_prediction", "disc_loss",
+                     "rpgan_losses"):
+            monkeypatch.setattr(rt, name, recorded(getattr(rt, name), name))
+
+        def on_draw(i):
+            alive.extend((i, kind) for kind, ref in refs if ref() is not None)
+
+        res = self._run(tiny_plan(), on_draw)
+        assert {kind for kind, _ in refs} == {"fm_loss", "combined_loss",
+                                              "two_step_prediction", "disc_loss",
+                                              "rpgan_losses"}
+        assert {r[1] for r in res.metrics_rows} == {"fm", "fmsd", "cfg", "adv"}
+        assert alive == []
+
+    def test_generator_tape_dead_at_disc_update(self, monkeypatch):
+        pairs, dead = [], []
+        rpgan, grad = rt.rpgan_losses, ad.grad
+
+        def recorded(*args, **kwargs):
+            g_loss, d_loss = rpgan(*args, **kwargs)
+            pairs.append((weakref.ref(g_loss), d_loss))
+            return g_loss, d_loss
+
+        def checked(loss, params):
+            if pairs and loss is pairs[-1][1]:
+                dead.append(pairs[-1][0]() is None)
+            return grad(loss, params)
+
+        monkeypatch.setattr(rt, "rpgan_losses", recorded)
+        monkeypatch.setattr(ad, "grad", checked)
+        self._run(tiny_plan(), lambda i: None)
+        assert dead == [True] * tiny_plan().adv_steps
+
+    def test_main_phase_optimizers_dead_in_phase_4(self, monkeypatch):
+        made = []
+
+        class RecordedAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(rt, "AdamW", RecordedAdamW)
+        plan = tiny_plan()
+        first_adv = plan.fm_steps + plan.fmsd_steps + plan.cfg_steps
+        seen = {}
+
+        def on_draw(i):
+            if i == first_adv:
+                seen["alive"] = [ref() is not None for ref in made]
+
+        self._run(plan, on_draw)
+        # trunk and weighting head dead; adapters and discriminator live on
+        assert seen["alive"] == [False, False, True, True]
+
+    def test_no_gradient_outlives_train(self):
+        # ad.grad resets what it returns, and the frozen weighting head
+        # gathers nothing in phase 4
+        res = train(tiny_plan(), Gaussian2DTask(), seed=0)
+        params = [*res.model.params.values(), *res.model.lora_params().values(),
+                  *res.weightnet.params.values(), *res.disc.params.values()]
+        assert all(p.grad is None for p in params)
+        assert all(p.requires_grad for p in res.weightnet.params.values())
 
 
 class TestSample:

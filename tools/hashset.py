@@ -4,8 +4,11 @@
 
 Each line is one training run: its name, the sha256 of its `metrics.csv`
 bytes followed by its `save_result` checkpoint bytes, and the model's
-`eval_count` after `train`.  Run it on two checkouts and `diff` the outputs;
-equal lines mean byte-identical training.
+`eval_count` after `train`, under two `#` lines naming the numpy and BLAS
+builds, since another build may round differently.  Run it on two checkouts
+and `diff` the outputs; equal lines mean byte-identical training.
+`tools/hashset.txt` is the committed output, and `tests/test_hashset.py`
+holds the running code to it.
 
 The runs:
   * 18 adapter-free tiny runs (`adv_steps = d_pretrain_steps = 0`) and the
@@ -32,6 +35,8 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from flowmaplab.runtime import (Gaussian2DTask, PhasePlan, TextureSRTask,  # noqa: E402
                                 Toy2DTask, save_result, train)
@@ -70,7 +75,15 @@ def digest(task_key: str, plan: PhasePlan, seed: int, tmp: Path) -> tuple[str, i
     return hashlib.sha256(blob).hexdigest(), res.model.eval_count
 
 
+def header() -> list[str]:
+    """The numpy and BLAS builds that the set depends on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas.get('name', '?')} {blas.get('version', '?')}"]
+
+
 def main() -> None:
+    print("\n".join(header()), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, task_key, plan, seed in runs():
             sha, evals = digest(task_key, plan, seed, Path(tmp))
