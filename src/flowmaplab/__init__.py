@@ -6,12 +6,10 @@ Gaussian oracle cross-checks every training identity independently.
 
 __version__ = "0.1.0"
 
-from .interpolant import STANDARD, TRIGONOMETRIC, InterpolantSchedule
 from .nets import COND_NEGATIVE, COND_NULL, COND_POSITIVE, FlowMapModel, WeightNet
 from .runtime import PhasePlan, SamplerConfig, sample, train
 
 __all__ = [
-    "STANDARD", "TRIGONOMETRIC", "InterpolantSchedule",
     "COND_POSITIVE", "COND_NEGATIVE", "COND_NULL",
     "FlowMapModel", "WeightNet",
     "PhasePlan", "SamplerConfig", "sample", "train",

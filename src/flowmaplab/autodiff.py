@@ -187,8 +187,10 @@ def add(a, b) -> Tensor:
             + np.broadcast_to(0.0 if tb is None else tb, data.shape)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.in_graph:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.in_graph:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _make(data, tangent, (a, b), backward)
 
@@ -203,8 +205,10 @@ def sub(a, b) -> Tensor:
             - np.broadcast_to(0.0 if tb is None else tb, data.shape)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.in_graph:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.in_graph:
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _make(data, tangent, (a, b), backward)
 
@@ -222,8 +226,10 @@ def mul(a, b) -> Tensor:
             tangent = tangent + a.data * tb
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.in_graph:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.in_graph:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, tangent, (a, b), backward)
 

@@ -1,111 +1,40 @@
-"""Interpolant schedules, target velocities and endpoint predictions.
+"""The linear interpolant and its target velocity.
 
 The path between a target sample x0 and a source sample x1 is
-``alpha(t) * x0 + beta(t) * x1`` with boundary conditions alpha(0)=beta(1)=1
-and alpha(1)=beta(0)=0.  All functions here are pure and operate on plain
-numpy arrays.
+``I_t = (1 - t) x0 + t x1``, the one path the paper's flow maps, the
+Gaussian oracle and the perceptual endpoint ``I_t - t u`` all assume.
+Both functions are pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class InterpolantSchedule:
-    """Coefficient pair (alpha, beta) with analytic derivatives."""
-
-    alpha: Callable[[float], float]
-    beta: Callable[[float], float]
-    alpha_dot: Callable[[float], float]
-    beta_dot: Callable[[float], float]
-    kind: str = "custom"
-
-    def validate_boundaries(self, tol: float = 1e-12) -> None:
-        ok = (abs(self.alpha(0.0) - 1.0) < tol and abs(self.beta(1.0) - 1.0) < tol
-              and abs(self.alpha(1.0)) < tol and abs(self.beta(0.0)) < tol)
-        if not ok:
-            raise ValueError("schedule violates boundary conditions")
+# the path's name, recorded in every checkpoint's metadata
+STANDARD = "standard"
 
 
-STANDARD = InterpolantSchedule(
-    alpha=lambda t: 1.0 - t,
-    beta=lambda t: t,
-    alpha_dot=lambda t: -1.0,
-    beta_dot=lambda t: 1.0,
-    kind="standard",
-)
-
-TRIGONOMETRIC = InterpolantSchedule(
-    alpha=lambda t: math.cos(math.pi * t / 2.0),
-    beta=lambda t: math.sin(math.pi * t / 2.0),
-    alpha_dot=lambda t: -math.pi / 2.0 * math.sin(math.pi * t / 2.0),
-    beta_dot=lambda t: math.pi / 2.0 * math.cos(math.pi * t / 2.0),
-    kind="trigonometric",
-)
-
-
-def _check_time(t: float):
+def _checked(x0, x1, t: float) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
-
-
-def interpolate(x0: np.ndarray, x1: np.ndarray, t: float,
-                sched: InterpolantSchedule = STANDARD) -> np.ndarray:
-    """Point on the path: alpha(t) x0 + beta(t) x1.
-
-    Boundary times return the endpoints bit-exactly under the standard
-    schedule.
-    """
-    _check_time(t)
     x0, x1 = np.asarray(x0, dtype=np.float64), np.asarray(x1, dtype=np.float64)
     if x0.shape != x1.shape:
         raise ValueError("x0 and x1 must share a shape")
-    if sched.kind == "standard":
-        if t == 0.0:
-            return x0.copy()
-        if t == 1.0:
-            return x1.copy()
-    return sched.alpha(t) * x0 + sched.beta(t) * x1
+    return x0, x1
 
 
-def target_velocity(x0: np.ndarray, x1: np.ndarray, t: float,
-                    sched: InterpolantSchedule = STANDARD) -> np.ndarray:
-    """Time derivative of the path: alpha'(t) x0 + beta'(t) x1.
-
-    Constant and equal to x1 - x0 for the standard schedule.
-    """
-    _check_time(t)
-    x0, x1 = np.asarray(x0, dtype=np.float64), np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ValueError("x0 and x1 must share a shape")
-    if sched.kind == "standard":
-        return x1 - x0
-    return sched.alpha_dot(t) * x0 + sched.beta_dot(t) * x1
+def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
+    """Point on the path, (1 - t) x0 + t x1; the endpoints bit-exactly at
+    t = 0 and t = 1."""
+    x0, x1 = _checked(x0, x1, t)
+    if t == 0.0:
+        return x0.copy()
+    if t == 1.0:
+        return x1.copy()
+    return (1.0 - t) * x0 + t * x1
 
 
-def x0_predict_fm(x_t: np.ndarray, t: float, v: np.ndarray,
-                  sched: InterpolantSchedule = STANDARD) -> np.ndarray:
-    """Approximate endpoint estimate x_t - t*v from an instantaneous velocity.
-
-    Defined only under the standard schedule; exact only when the learned
-    field is straight.
-    """
-    require_standard(sched, "x0_predict_fm")
-    _check_time(t)
-    return np.asarray(x_t, dtype=np.float64) - t * np.asarray(v, dtype=np.float64)
-
-
-def x0_predict_flowmap(x_t: np.ndarray, t: float, u_0t: np.ndarray) -> np.ndarray:
-    """Exact endpoint estimate x_t - t*u from the average velocity over [0, t]."""
-    _check_time(t)
-    return np.asarray(x_t, dtype=np.float64) - t * np.asarray(u_0t, dtype=np.float64)
-
-
-def require_standard(sched: InterpolantSchedule, what: str) -> None:
-    if sched.kind != "standard":
-        raise ValueError(f"{what} is only defined for the standard schedule")
+def target_velocity(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
+    """Time derivative of the path: x1 - x0 at every t."""
+    x0, x1 = _checked(x0, x1, t)
+    return x1 - x0

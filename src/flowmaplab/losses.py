@@ -2,6 +2,8 @@
 their guidance-aware variants, dynamic weighting, the perceptual
 regularizer, and the relativistic adversarial pair.
 
+Every objective lives on the one linear path I_t = (1 - t) x0 + t x1, whose
+conditional velocity is x1 - x0 and whose endpoint estimate is I_t - t u.
 Targets are always built outside gradient recording and stop-gradiented;
 gradients flow only through the left factor of each squared error.
 """
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .interpolant import InterpolantSchedule, STANDARD, interpolate, target_velocity
+from .interpolant import STANDARD, interpolate, target_velocity
 from .nets import COND_NEGATIVE, COND_NULL
 from .schedule import LSD, ESD, SSD, SETTINGS, TimestepPair
 
@@ -67,10 +69,10 @@ def _batch_sq_error(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def fm_loss(model, x0: np.ndarray, x1: np.ndarray, t: float,
-            sched: InterpolantSchedule = STANDARD, cond: int = COND_NULL) -> Tensor:
+            cond: int = COND_NULL) -> Tensor:
     """||u_{t,t}(I_t | cond) - v_target||^2 averaged over the batch."""
-    x_t = interpolate(x0, x1, t, sched)
-    v_t = target_velocity(x0, x1, t, sched)
+    x_t = interpolate(x0, x1, t)
+    v_t = target_velocity(x0, x1, t)
     pred = model(x_t, t, t, cond)
     return _batch_sq_error(pred, Tensor(v_t))
 
@@ -114,14 +116,12 @@ def _consistency_target(setting: str, model, x_t: np.ndarray, v: np.ndarray,
 
 
 def sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
-              s: float, t: float, sched: InterpolantSchedule = STANDARD,
-              cond: int = COND_NULL) -> Tensor:
-    """Consistency target for u_{s,t}(I_t) from the conditional velocity;
-    detached.  The velocity comes from the schedule, so the same
-    expressions serve general interpolants."""
+              s: float, t: float, cond: int = COND_NULL) -> Tensor:
+    """Consistency target for u_{s,t}(I_t) from the conditional velocity
+    x1 - x0; detached."""
     _check_interval(setting, s, t)
-    x_t = interpolate(x0, x1, t, sched)
-    return _consistency_target(setting, model, x_t, target_velocity(x0, x1, t, sched),
+    x_t = interpolate(x0, x1, t)
+    return _consistency_target(setting, model, x_t, target_velocity(x0, x1, t),
                                s, t, cond)
 
 
@@ -143,19 +143,19 @@ def _guided_velocity(model, x_t: np.ndarray, v_t: np.ndarray, t: float, w: float
 
 
 def cfg_fm_target(model, x0: np.ndarray, x1: np.ndarray, t: float,
-                  sched: InterpolantSchedule, ctx: GuidanceContext) -> Tensor:
+                  ctx: GuidanceContext) -> Tensor:
     """w * v_target + (1 - w) * u_{t,t}(I_t | negative); detached.
 
     A dropped context or w = 1 gives the plain target v_target."""
-    v_t = target_velocity(x0, x1, t, sched)
+    v_t = target_velocity(x0, x1, t)
     if ctx.dropped or ctx.w == 1.0:
         return ad.stop_gradient(Tensor(v_t))
-    x_t = interpolate(x0, x1, t, sched)
+    x_t = interpolate(x0, x1, t)
     return ad.stop_gradient(Tensor(_guided_velocity(model, x_t, v_t, t, ctx.w)))
 
 
 def cfg_sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
-                  s: float, t: float, sched: InterpolantSchedule,
+                  s: float, t: float, interpolant: str,
                   ctx: GuidanceContext) -> Tensor:
     """Guidance-aware consistency target: the plain target with the guided
     velocity in place of the conditional one; detached.
@@ -165,10 +165,14 @@ def cfg_sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
     setting (u_neg on the diagonal), none in the Shortcut setting (reads no
     velocity).  A dropped context gives the plain target on the negative
     branch, and w = 1 the plain target on ``ctx.cond``.
+
+    ``interpolant`` must be ``STANDARD``; it stays for perfbench's positional call.
     """
+    if interpolant != STANDARD:
+        raise ValueError(f"interpolant {interpolant!r} is not {STANDARD!r}")
     _check_interval(setting, s, t)
-    x_t = interpolate(x0, x1, t, sched)
-    v = target_velocity(x0, x1, t, sched)
+    x_t = interpolate(x0, x1, t)
+    v = target_velocity(x0, x1, t)
     if not (ctx.dropped or ctx.w == 1.0 or setting == SSD):
         v = _guided_velocity(model, x_t, v, t, ctx.w, s if setting == LSD else None)
     return _consistency_target(setting, model, x_t, v, s, t, ctx.cond)
@@ -227,7 +231,6 @@ def perceptual_reg(x0_hat: Tensor, x0: np.ndarray, s: float,
 
 def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
                   pair: TimestepPair, setting: str,
-                  sched: InterpolantSchedule = STANDARD,
                   ctx: GuidanceContext | None = None,
                   x0_neg: np.ndarray | None = None,
                   image_hw: tuple | None = None,
@@ -244,11 +247,11 @@ def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
     if ctx.dropped and x0_neg is not None:
         x0 = x0_neg
 
-    x_t = interpolate(x0, x1, t, sched)
+    x_t = interpolate(x0, x1, t)
     if pair.is_fm:
-        target = cfg_fm_target(model, x0, x1, t, sched, ctx)
+        target = cfg_fm_target(model, x0, x1, t, ctx)
     else:
-        target = cfg_sd_target(setting, model, x0, x1, s, t, sched, ctx)
+        target = cfg_sd_target(setting, model, x0, x1, s, t, STANDARD, ctx)
     pred = model(x_t, s, t, ctx.cond)  # s == t on FM pairs
     main = _batch_sq_error(pred, target)
 
@@ -282,7 +285,7 @@ def two_step_prediction(model, x1: np.ndarray, cond: int,
 def rpgan_losses(model, disc, x0: np.ndarray, x1: np.ndarray,
                  ctx: GuidanceContext, lambda_adv: float,
                  weightnet=None, pair: TimestepPair | None = None,
-                 setting: str = SSD, sched: InterpolantSchedule = STANDARD,
+                 setting: str = SSD,
                  x0_neg: np.ndarray | None = None,
                  image_hw: tuple | None = None,
                  use_perceptual: bool = True):
@@ -301,7 +304,7 @@ def rpgan_losses(model, disc, x0: np.ndarray, x1: np.ndarray,
 
     g_loss = g_adv
     if weightnet is not None and pair is not None and lambda_adv > 0.0:
-        breakdown = combined_loss(model, weightnet, x0, x1, pair, setting, sched,
+        breakdown = combined_loss(model, weightnet, x0, x1, pair, setting,
                                   ctx=ctx, x0_neg=x0_neg, image_hw=image_hw,
                                   use_perceptual=use_perceptual)
         g_loss = ad.add(g_adv, ad.mul(breakdown.weighted_total, lambda_adv))

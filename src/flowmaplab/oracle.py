@@ -42,7 +42,7 @@ def _moments(task: GaussianTask, t: float) -> tuple[np.ndarray, float]:
 
 
 def gaussian_velocity(task: GaussianTask, x: np.ndarray, t: float) -> np.ndarray:
-    """Marginal velocity of the standard-schedule path between two Gaussians.
+    """Marginal velocity of the linear path between two Gaussians.
 
     With I_t = (1-t) x0 + t x1 (x0, x1 independent) the conditional
     expectation of x1 - x0 given I_t = x is linear in x:

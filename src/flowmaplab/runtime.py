@@ -258,7 +258,7 @@ class TrainResult:
         return buf.getvalue()
 
 
-def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
+def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     """Run the four phases and return the trained components plus metrics.
 
     Each step is one call that returns its metrics row, so every Tensor it
@@ -304,7 +304,7 @@ def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
         """Phase 1: flow matching on a diagonal pair at the finest grid."""
         batch = task.sample(plan.batch_size, rng)
         pair = fm_pair(plan.grid, rng)
-        loss = fm_loss(model, batch.x0, batch.x1, pair.t_value, sched, COND_NULL)
+        loss = fm_loss(model, batch.x0, batch.x1, pair.t_value, COND_NULL)
         opt_model.lr = plan.lr_model * decay(step)
         update(loss, "fm", opt_model)
         return [str(step), "fm", _fmt(loss.item()), "", _fmt(loss.item()), "", "", ""]
@@ -317,7 +317,7 @@ def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
         ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob) \
             if use_cfg else None
         breakdown = combined_loss(model, weightnet, batch.x0, batch.x1, pair,
-                                  plan.setting, sched, ctx=ctx,
+                                  plan.setting, ctx=ctx,
                                   x0_neg=batch.x0_neg, image_hw=task.image_hw,
                                   use_perceptual=use_perc)
         total = breakdown.weighted_total
@@ -343,7 +343,7 @@ def train(plan: PhasePlan, task, seed: int = 0, sched=STANDARD) -> TrainResult:
         else:
             g_loss, d_loss = rpgan_losses(
                 model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
-                weightnet=weightnet, pair=pair, setting=plan.setting, sched=sched,
+                weightnet=weightnet, pair=pair, setting=plan.setting,
                 x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
             update(g_loss, "adv", opt_lora)
             g_cell = _fmt(g_loss.item())
@@ -436,11 +436,10 @@ def checkpoint_tensors(result: TrainResult) -> dict:
     return tensors
 
 
-def save_result(path, result: TrainResult, task_name: str, sched_kind: str = "standard",
-                phase: str = "done") -> None:
+def save_result(path, result: TrainResult, task_name: str, phase: str = "done") -> None:
     meta = {
         "task": task_name,
-        "schedule": sched_kind,
+        "schedule": STANDARD,
         "phase": phase,
         "setting": result.plan.setting,
         "state_dim": result.model.state_dim,

@@ -45,10 +45,6 @@ class TimestepPair:
     def t_value(self) -> float:
         return self.t.value
 
-    @property
-    def r_value(self) -> float | None:
-        return None if self.r is None else self.r.value
-
 
 @dataclass(frozen=True)
 class GridConfig:

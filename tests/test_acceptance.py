@@ -186,15 +186,15 @@ def test_criterion_5_guidance_reduction_and_cost():
     ctx1 = GuidanceContext(w=1.0, w_max=3.5, cond=COND_POSITIVE)
     ctx2 = GuidanceContext(w=2.5, w_max=3.5, cond=COND_POSITIVE)
 
-    worst = np.max(np.abs(cfg_fm_target(model, x0, x1, t, STANDARD, ctx1).data
+    worst = np.max(np.abs(cfg_fm_target(model, x0, x1, t, ctx1).data
                           - (x1 - x0)))
     extras = {}
     for setting, expected in ((LSD, 2), (ESD, 1), (SSD, 0)):
         red = cfg_sd_target(setting, model, x0, x1, s, t, STANDARD, ctx1)
-        ref = sd_target(setting, model, x0, x1, s, t, STANDARD, COND_POSITIVE)
+        ref = sd_target(setting, model, x0, x1, s, t, COND_POSITIVE)
         worst = max(worst, float(np.max(np.abs(red.data - ref.data))))
         before = model.eval_count
-        sd_target(setting, model, x0, x1, s, t, STANDARD, COND_POSITIVE)
+        sd_target(setting, model, x0, x1, s, t, COND_POSITIVE)
         base = model.eval_count - before
         before = model.eval_count
         cfg_sd_target(setting, model, x0, x1, s, t, STANDARD, ctx2)

@@ -367,3 +367,25 @@ def test_backward_frees_each_cotangent_once_used():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * x.data.nbytes
+
+
+@pytest.mark.parametrize("const", [0.5, np.linspace(-1.0, 1.0, 12).reshape(3, 4)])
+@pytest.mark.parametrize("x_first", [True, False])
+@pytest.mark.parametrize("name", ["add", "sub", "mul"])
+def test_binary_ops_build_no_cotangent_for_constants(monkeypatch, name, x_first, const):
+    # the backward of add, sub and mul hands _accum only operands on the
+    # tape, so no cotangent is formed for a constant only to be discarded
+    handed, accum = [], ad._accum
+
+    def spy(node, g):
+        handed.append(node.in_graph)
+        accum(node, g)
+
+    monkeypatch.setattr(ad, "_accum", spy)
+    x = Tensor(np.random.default_rng(3).normal(size=(3, 4)), requires_grad=True)
+    op = getattr(ad, name)
+    y = op(x, const) if x_first else op(const, x)
+    g = ad.grad(ad.sum_(y), {"x": x})["x"]
+    assert handed and all(handed)
+    dx = {"add": 1.0, "sub": 1.0 if x_first else -1.0, "mul": const}[name]
+    np.testing.assert_array_equal(g, np.broadcast_to(dx, x.shape))

@@ -1,26 +1,25 @@
-"""Interpolation paths, target velocities, and endpoint predictions."""
+"""The linear interpolation path and its target velocity."""
 
 import numpy as np
 import pytest
 
-from flowmaplab.interpolant import (STANDARD, TRIGONOMETRIC, InterpolantSchedule,
-                                    interpolate, target_velocity, x0_predict_flowmap,
-                                    x0_predict_fm)
+from flowmaplab.interpolant import interpolate, target_velocity
 
 
 def test_standard_boundary_values():
-    assert STANDARD.alpha(0.0) == 1.0
-    assert STANDARD.alpha(1.0) == 0.0
-    assert STANDARD.beta(0.0) == 0.0
-    assert STANDARD.beta(1.0) == 1.0
+    # the path's coefficients: (1 - t) on x0 and t on x1
+    one, zero = np.ones((1, 2)), np.zeros((1, 2))
+    for t in (0.0, 0.25, 1.0):
+        np.testing.assert_array_equal(interpolate(one, zero, t), 1.0 - t)
+        np.testing.assert_array_equal(interpolate(zero, one, t), t)
 
 
 def test_standard_endpoints_bit_exact():
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=(4, 3))
     x1 = rng.normal(size=(4, 3))
-    assert np.array_equal(interpolate(x0, x1, 0.0, STANDARD), x0)
-    assert np.array_equal(interpolate(x0, x1, 1.0, STANDARD), x1)
+    assert np.array_equal(interpolate(x0, x1, 0.0), x0)
+    assert np.array_equal(interpolate(x0, x1, 1.0), x1)
 
 
 def test_standard_velocity_is_displacement():
@@ -28,54 +27,31 @@ def test_standard_velocity_is_displacement():
     x0 = rng.normal(size=(5, 2))
     x1 = rng.normal(size=(5, 2))
     for t in (0.0, 0.3, 1.0):
-        np.testing.assert_array_equal(target_velocity(x0, x1, t, STANDARD), x1 - x0)
-
-
-def test_trig_velocity_matches_fd():
-    rng = np.random.default_rng(2)
-    x0 = rng.normal(size=(3, 2))
-    x1 = rng.normal(size=(3, 2))
-    h = 1e-6
-    for t in (0.2, 0.5, 0.8):
-        fd = (interpolate(x0, x1, t + h, TRIGONOMETRIC)
-              - interpolate(x0, x1, t - h, TRIGONOMETRIC)) / (2 * h)
-        np.testing.assert_allclose(target_velocity(x0, x1, t, TRIGONOMETRIC), fd,
-                                   rtol=1e-8, atol=1e-8)
-
-
-def test_trig_boundaries():
-    assert abs(TRIGONOMETRIC.alpha(0.0) - 1.0) < 1e-15
-    assert abs(TRIGONOMETRIC.alpha(1.0)) < 1e-15
-    assert abs(TRIGONOMETRIC.beta(1.0) - 1.0) < 1e-15
+        np.testing.assert_array_equal(target_velocity(x0, x1, t), x1 - x0)
 
 
 def test_time_out_of_range_raises():
     x = np.zeros((1, 2))
     with pytest.raises(ValueError):
-        interpolate(x, x, -0.1, STANDARD)
+        interpolate(x, x, -0.1)
     with pytest.raises(ValueError):
-        interpolate(x, x, 1.1, STANDARD)
+        interpolate(x, x, 1.1)
+    with pytest.raises(ValueError):
+        target_velocity(x, x, 1.1)
+
+
+def test_shape_mismatch_raises():
+    with pytest.raises(ValueError, match="share a shape"):
+        interpolate(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
+    with pytest.raises(ValueError, match="share a shape"):
+        target_velocity(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
 
 
 def test_x0_predict_flowmap_inverts_interpolation_with_true_map():
-    # with the exact two-point average velocity the prediction is exact
+    # with the exact two-point average velocity, I_t - t u recovers x0
     x0 = np.array([[1.0, -2.0]])
     x1 = np.array([[0.5, 3.0]])
     t = 0.7
-    x_t = interpolate(x0, x1, t, STANDARD)
+    x_t = interpolate(x0, x1, t)
     u_true = (x_t - x0) / t
-    np.testing.assert_allclose(x0_predict_flowmap(x_t, t, u_true), x0, rtol=1e-12)
-
-
-def test_x0_predict_fm_requires_standard():
-    x = np.zeros((1, 2))
-    with pytest.raises(ValueError):
-        x0_predict_fm(x, 0.5, x, TRIGONOMETRIC)
-
-
-def test_boundary_validation_rejects_bad_schedule():
-    bad = InterpolantSchedule(alpha=lambda t: 0.5, beta=lambda t: t,
-                              alpha_dot=lambda t: 0.0, beta_dot=lambda t: 1.0,
-                              kind="bad")
-    with pytest.raises(ValueError):
-        bad.validate_boundaries()
+    np.testing.assert_allclose(x_t - t * u_true, x0, rtol=1e-12)

@@ -213,7 +213,7 @@ class TestCfgTargets:
         ctx = GuidanceContext(w=1.0, w_max=3.5, cond=COND_POSITIVE)
         t = 0.5
         plain = x1 - x0
-        got = cfg_fm_target(model, x0, x1, t, STANDARD, ctx)
+        got = cfg_fm_target(model, x0, x1, t, ctx)
         np.testing.assert_array_equal(got.data, plain)
 
     @pytest.mark.parametrize("setting", [LSD, ESD, SSD])
@@ -222,7 +222,7 @@ class TestCfgTargets:
         x0, x1 = self._data()
         ctx = GuidanceContext(w=1.0, w_max=3.5, cond=COND_POSITIVE)
         got = cfg_sd_target(setting, model, x0, x1, 0.25, 0.75, STANDARD, ctx)
-        ref = sd_target(setting, model, x0, x1, 0.25, 0.75, STANDARD, COND_POSITIVE)
+        ref = sd_target(setting, model, x0, x1, 0.25, 0.75, COND_POSITIVE)
         np.testing.assert_allclose(got.data, ref.data, atol=1e-12)
 
     @pytest.mark.parametrize("setting,extra", [(LSD, 2), (ESD, 1), (SSD, 0)])
@@ -230,7 +230,7 @@ class TestCfgTargets:
         model = make_model(15)
         x0, x1 = self._data()
         before = model.eval_count
-        sd_target(setting, model, x0, x1, 0.25, 0.75, STANDARD, COND_POSITIVE)
+        sd_target(setting, model, x0, x1, 0.25, 0.75, COND_POSITIVE)
         base_cost = model.eval_count - before
         ctx = GuidanceContext(w=2.0, w_max=3.5, cond=COND_POSITIVE)
         before = model.eval_count
@@ -260,7 +260,7 @@ class TestCfgTargets:
                 manual = v - (t - s) * d
         ctx = GuidanceContext(w=w, w_max=3.5, cond=COND_POSITIVE)
         got = cfg_sd_target(setting, model, x0, x1, s, t, STANDARD, ctx)
-        plain = sd_target(setting, model, x0, x1, s, t, STANDARD, COND_POSITIVE)
+        plain = sd_target(setting, model, x0, x1, s, t, COND_POSITIVE)
         assert np.max(np.abs(got.data - plain.data)) > 1e-2  # guidance moved it
         np.testing.assert_allclose(got.data, manual, atol=1e-5)
 
@@ -290,8 +290,16 @@ class TestCfgTargets:
         x0, x1 = self._data()
         ctx = GuidanceContext(w=1.0, w_max=3.5, cond=COND_NEGATIVE, dropped=True)
         got = cfg_sd_target(SSD, model, x0, x1, 0.25, 0.75, STANDARD, ctx)
-        ref = sd_target(SSD, model, x0, x1, 0.25, 0.75, STANDARD, COND_NEGATIVE)
+        ref = sd_target(SSD, model, x0, x1, 0.25, 0.75, COND_NEGATIVE)
         np.testing.assert_array_equal(got.data, ref.data)
+
+    @pytest.mark.parametrize("interpolant", ["trigonometric", "Standard", None, 0])
+    def test_sd_refuses_other_interpolants(self, interpolant):
+        model = make_model(17)
+        x0, x1 = self._data()
+        ctx = GuidanceContext(w=2.0, w_max=3.5, cond=COND_POSITIVE)
+        with pytest.raises(ValueError, match=repr(interpolant)):
+            cfg_sd_target(ESD, model, x0, x1, 0.25, 0.75, interpolant, ctx)
 
     def test_scale_moves_target(self):
         model = make_model(17)
@@ -301,8 +309,8 @@ class TestCfgTargets:
         x0, x1 = self._data()
         ctx1 = GuidanceContext(w=1.0, w_max=3.5, cond=COND_POSITIVE)
         ctx3 = GuidanceContext(w=3.0, w_max=3.5, cond=COND_POSITIVE)
-        a = cfg_fm_target(model, x0, x1, 0.5, STANDARD, ctx1).data
-        b = cfg_fm_target(model, x0, x1, 0.5, STANDARD, ctx3).data
+        a = cfg_fm_target(model, x0, x1, 0.5, ctx1).data
+        b = cfg_fm_target(model, x0, x1, 0.5, ctx3).data
         assert not np.array_equal(a, b)
 
 
@@ -372,7 +380,7 @@ class TestCombinedLoss:
         model, wn, x0, x1 = self._setup(25)
         pair = _pair(2, 2, 2)
         br = combined_loss(model, wn, x0, x1, pair, SSD, use_perceptual=False)
-        ref = fm_loss(model, x0, x1, pair.t_value, STANDARD, COND_NULL)
+        ref = fm_loss(model, x0, x1, pair.t_value, COND_NULL)
         np.testing.assert_allclose(br.main.item(), ref.item(), rtol=1e-12)
 
     def test_weighted_total_formula(self):
@@ -390,7 +398,7 @@ class TestCombinedLoss:
         pair = _pair(1, 1, 0)  # fm pair over the whole interval? k=1 of level 0
         br = combined_loss(model, wn, x0, x1, pair, SSD, ctx=ctx, x0_neg=x0_neg,
                            use_perceptual=False)
-        ref = fm_loss(model, x0_neg, x1, pair.t_value, STANDARD, COND_NEGATIVE)
+        ref = fm_loss(model, x0_neg, x1, pair.t_value, COND_NEGATIVE)
         np.testing.assert_allclose(br.main.item(), ref.item(), rtol=1e-12)
 
 
