@@ -107,7 +107,13 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _require_n(n: int, least: int, why: str = "") -> None:
+    if n < least:
+        raise ValueError(f"--n must be at least {least}{why}, got {n}")
+
+
 def _cmd_sample(args) -> int:
+    _require_n(args.n, 1)
     model, meta = load_model(args.checkpoint)
     cfg = SamplerConfig(steps=args.steps, cond=COND_NAMES[args.cond],
                         lora_scale=args.lora_scale,
@@ -146,6 +152,7 @@ def task_from_config_meta(meta: dict):
 
 
 def _cmd_eval(args) -> int:
+    _require_n(args.n, 1)
     model, meta = load_model(args.checkpoint)
     cfg = SamplerConfig(steps=args.steps, cond=COND_NAMES[args.cond],
                         lora_scale=args.lora_scale,
@@ -159,6 +166,7 @@ def _cmd_eval(args) -> int:
         if not isinstance(task, Gaussian2DTask):
             print(f"no closed-form metric for task {task.name}", file=sys.stderr)
             return EXIT_USAGE
+        _require_n(args.n, 2, " for the W2 metric")
         report = evaluate_gaussian(model, task, args.n, cfg, seed=args.seed)
     bad = any(isinstance(v, float) and not np.isfinite(v) for v in report.values())
     for k, v in sorted(report.items()):
@@ -198,6 +206,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    _require_n(args.n, 1)
     dump_corpus(args.out, args.n, args.size, DegradeOpts(), args.seed)
     print(f"wrote {args.n} pairs (size {args.size}) to {args.out}")
     return EXIT_OK

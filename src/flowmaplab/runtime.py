@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -196,16 +195,25 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 2.0) -> float:
 
 def gaussian_w2(samples: np.ndarray, mu: np.ndarray, sigma: float) -> float:
     """Exact 2-Wasserstein distance between the moment-fitted Gaussian of
-    ``samples`` and an isotropic reference N(mu, sigma^2 I)."""
+    ``samples`` (shape (n, d), n >= 2) and an isotropic reference N(mu, sigma^2 I).
+
+    Against an isotropic reference the Gaussian W2 (Dowson & Landau 1982)
+    needs no matrix square root: W2^2 = |m_hat - mu|^2 + sum_i (sqrt(l_i) - sigma)^2,
+    with l_i the eigenvalues of the sample covariance."""
     samples = np.asarray(samples, dtype=np.float64)
-    m_hat = samples.mean(axis=0)
-    cov_hat = np.cov(samples, rowvar=False)
-    cov_ref = sigma ** 2 * np.eye(samples.shape[1])
-    sqrt_ref = scipy.linalg.sqrtm(cov_ref).real
-    cross = scipy.linalg.sqrtm(sqrt_ref @ cov_hat @ sqrt_ref).real
-    w2sq = float(np.sum((m_hat - mu) ** 2)
-                 + np.trace(cov_hat) + np.trace(cov_ref) - 2.0 * np.trace(cross))
-    return math.sqrt(max(w2sq, 0.0))
+    mu = np.asarray(mu, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] < 2:
+        raise ValueError(f"samples must have shape (n, d) with n >= 2, got {samples.shape}")
+    if mu.shape != samples.shape[1:]:
+        raise ValueError(f"mu must have shape {samples.shape[1:]} to match the samples, "
+                         f"got {mu.shape}")
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(mu))):
+        raise ValueError("samples and mu must be finite")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    lam = np.linalg.eigvalsh(np.atleast_2d(np.cov(samples, rowvar=False)))
+    return math.sqrt(float(np.sum((samples.mean(axis=0) - mu) ** 2)
+                           + np.sum((np.sqrt(np.maximum(lam, 0.0)) - sigma) ** 2)))
 
 
 # -- inference ------------------------------------------------------------

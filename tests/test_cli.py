@@ -97,6 +97,30 @@ def test_eval_subcommand(trained, capsys):
     assert "w2=" in out
 
 
+@pytest.mark.parametrize("argv,least", [
+    (["eval", "--n", "0"], 1),
+    (["eval", "--n", "1"], 2),  # the W2 metric needs a sample covariance
+    (["sample", "--n", "0"], 1),
+    (["sample", "--n", "-2"], 1),
+])
+def test_sample_and_eval_refuse_bad_n(trained, tmp_path, capsys, argv, least):
+    out = tmp_path / "samples"
+    extra = ["--out", str(out)] if argv[0] == "sample" else []
+    assert main(argv + ["--checkpoint", str(trained / "model.ckpt")] + extra) == 1
+    captured = capsys.readouterr()
+    assert f"--n must be at least {least}" in captured.err
+    assert "w2=" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_data_refuses_bad_n(tmp_path, capsys, n):
+    out = tmp_path / "corpus"
+    assert main(["gen-data", "--out", str(out), "--n", n, "--size", "8"]) == 1
+    assert "--n must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_check_subcommand(tmp_path, capsys):
     rc = main(["oracle-check", "--setting", "ssd", "--probes", "3",
                "--out", str(tmp_path / "rep")])
@@ -202,3 +226,14 @@ def test_metrics_independent_of_blas_threads(tmp_path):
         metrics.append((out / "metrics.csv").read_bytes())
     assert metrics[0].count(b"\n") == 1 + 2 + 2 + 2 + 1 + 2
     assert metrics[0] == metrics[1]
+
+
+def test_import_pulls_in_no_scipy():
+    # the package runs on numpy alone; a heavy import would show in every process
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    code = ("import sys, flowmaplab, flowmaplab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -298,6 +298,70 @@ class TestMetrics:
         d = gaussian_w2(samples, np.array([3.0, 0.0]), 1.0)
         np.testing.assert_allclose(d, 3.0, atol=0.02)
 
+    def test_w2_matches_general_gaussian_formula(self):
+        # general Gaussian W2 with an eigh-based square root of sigma*cov*sigma
+        rng = np.random.default_rng(3)
+        for d in range(2, 6):
+            for _ in range(20):
+                a = rng.normal(size=(d, d))
+                cov = a @ a.T + 0.1 * np.eye(d)
+                samples = rng.normal(size=(400, d)) @ np.linalg.cholesky(cov).T
+                mu, sigma = rng.normal(size=d), float(rng.uniform(0.2, 2.0))
+                cov_hat = np.cov(samples, rowvar=False)
+                w, v = np.linalg.eigh(sigma * cov_hat * sigma)
+                cross = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+                w2sq = (np.sum((samples.mean(axis=0) - mu) ** 2) + np.trace(cov_hat)
+                        + d * sigma ** 2 - 2.0 * np.trace(cross))
+                np.testing.assert_allclose(gaussian_w2(samples, mu, sigma),
+                                           np.sqrt(w2sq), rtol=1e-12)
+
+    def test_w2_whitened_samples_is_mean_distance(self):
+        # covariance exactly sigma^2 I leaves only the distance of the means
+        rng = np.random.default_rng(4)
+        for d in range(1, 6):
+            z = rng.normal(size=(300, d))
+            z -= z.mean(axis=0)
+            w, v = np.linalg.eigh(np.atleast_2d(np.cov(z, rowvar=False)))
+            mu, sigma = rng.normal(size=d), float(rng.uniform(0.2, 2.0))
+            m = mu + rng.normal(size=d)
+            samples = m + sigma * (z @ (v / np.sqrt(w)) @ v.T)
+            np.testing.assert_allclose(gaussian_w2(samples, mu, sigma),
+                                       np.linalg.norm(samples.mean(axis=0) - mu),
+                                       rtol=1e-12)
+
+    def test_w2_one_dimensional(self):
+        # d = 1: |m_hat - mu|^2 + (s_hat - sigma)^2 with s_hat^2 the sample variance
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 50, 1000):
+            x = 1.5 * rng.normal(size=(n, 1)) - 0.4
+            mu, sigma = np.array([0.3]), 0.7
+            want = np.sqrt((x.mean() - 0.3) ** 2 + (np.sqrt(np.cov(x[:, 0])) - sigma) ** 2)
+            assert gaussian_w2(x, mu, sigma) == want
+
+    @pytest.mark.parametrize("mu", [0.0, np.zeros(1), np.zeros(3), np.zeros((1, 2))])
+    def test_w2_refuses_mu_of_wrong_shape(self, mu):
+        samples = np.random.default_rng(6).normal(size=(100, 2))
+        with pytest.raises(ValueError, match=r"mu must have shape \(2,\)"):
+            gaussian_w2(samples, mu, 1.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_w2_refuses_bad_sigma(self, sigma):
+        samples = np.random.default_rng(6).normal(size=(100, 2))
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            gaussian_w2(samples, np.zeros(2), sigma)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (0, 2), (5,), (2, 2, 2)])
+    def test_w2_refuses_samples_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"samples must have shape \(n, d\) with n >= 2"):
+            gaussian_w2(np.ones(shape), np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_w2_refuses_non_finite_samples(self, bad):
+        samples = np.random.default_rng(6).normal(size=(100, 2))
+        samples[7, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            gaussian_w2(samples, np.zeros(2), 1.0)
+
 
 class TestEvaluate:
     def test_gaussian_report_keys(self):
