@@ -11,6 +11,7 @@ always stop-gradiented downstream).
 from __future__ import annotations
 
 import contextlib
+import itertools
 
 import numpy as np
 
@@ -351,17 +352,35 @@ def silu(a) -> Tensor:
     return _make(data, tangent, (a,), backward)
 
 
-def linear(h, W, b, silu=False, B=None, A=None, gamma=1.0) -> Tensor:
-    """One dense layer as one node: silu?(h @ W + b + gamma * (h @ B) @ A).
+def linear(h, W, b, silu=False, B=None, A=None, gamma=1.0, ctx=None) -> Tensor:
+    """One dense layer as one node: silu?(z @ W + b + gamma * (z @ B) @ A).
 
-    ``h`` is a (n, fan_in) batch.  The low-rank adapter term is applied to
-    the activations, never folded into W, and is skipped when ``B`` is None
-    or ``gamma`` is 0.  Without it every array matches the unfused
-    ``add(matmul(h, W), b)`` then ``silu`` chain bit for bit.
+    Without ``ctx`` the layer input z is the (n, fan_in) batch ``h``.  With
+    it, every row of z is a row of the (n, d) batch ``h`` followed by the
+    same vector ``ctx`` of length fan_in - d.  That shared row meets its
+    rows of W (and of B) once, as one vector product, and z is never
+    formed; W, B and ctx get their gradients from the column sums of the
+    batch's cotangent.  The low-rank adapter term is applied to the
+    activations, never folded into W, and is skipped when ``B`` is None or
+    ``gamma`` is 0.  Without it and without ``ctx`` every array matches the
+    unfused ``add(matmul(h, W), b)`` then ``silu`` chain bit for bit.
     """
     h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
     parents = (h, W, b)
-    pre = h.data @ W.data + b.data
+    d = W.shape[0]
+    if ctx is not None:
+        ctx = as_tensor(ctx)
+        d = h.shape[-1]
+        if ctx.shape != (W.shape[0] - d,):
+            raise ValueError(f"context of shape {ctx.shape} with a {d}-column batch "
+                             f"does not fill the {W.shape[0]} input rows of the weight")
+        parents += (ctx,)
+
+    def row(M):  # what the shared context adds to every row of z @ M
+        return ctx.data @ M[d:]
+
+    pre = h.data @ W.data[:d]
+    pre += b.data if ctx is None else row(W.data) + b.data
     lora = B is not None and gamma != 0.0
     if lora:
         B, A = as_tensor(B), as_tensor(A)
@@ -369,59 +388,95 @@ def linear(h, W, b, silu=False, B=None, A=None, gamma=1.0) -> Tensor:
         if B.shape != (W.shape[0], rank) or A.shape != (rank, W.shape[1]):
             raise ValueError("adapter factors do not conform to the base weight")
         parents += (B, A)
-        hB = h.data @ B.data
-        ghB = gamma * hB
+        ghB = h.data @ B.data[:d]
+        if ctx is not None:
+            ghB += row(B.data)
+        ghB *= gamma
         pre += ghB @ A.data
     record = grad_enabled() and any(p.in_graph for p in parents)
     has_tangent = any(p.tangent is not None for p in parents)
 
+    def tangent_of(M, out):  # adds the tangent of z @ M to ``out``
+        if h.tangent is not None:
+            out += h.tangent @ M.data[:d]
+        if M.tangent is not None:
+            out += h.data @ M.tangent[:d]
+            if ctx is not None:
+                out += ctx.data @ M.tangent[d:]
+        if ctx is not None and ctx.tangent is not None:
+            out += ctx.tangent @ M.data[d:]
+        return out
+
     tpre = None
     if has_tangent:
-        tpre = np.zeros(pre.shape)
-        if h.tangent is not None:
-            tpre += h.tangent @ W.data
-        if W.tangent is not None:
-            tpre += h.data @ W.tangent
+        tpre = tangent_of(W, np.zeros(pre.shape))
         if b.tangent is not None:
             tpre += b.tangent
         if lora:
-            thB = np.zeros(hB.shape)
-            if h.tangent is not None:
-                thB += h.tangent @ B.data
-            if B.tangent is not None:
-                thB += h.data @ B.tangent
-            tpre += (gamma * thB) @ A.data
+            thB = tangent_of(B, np.zeros(ghB.shape))
+            thB *= gamma
+            tpre += thB @ A.data
             if A.tangent is not None:
                 tpre += ghB @ A.tangent
 
-    data, tangent, dsig = pre, tpre, None
+    # silu and its derivative, each in one buffer: the same ufuncs in the
+    # same order as silu?(pre), sig = 1 / (1 + exp(-pre)), silu' = sig (1 + pre (1 - sig))
+    data, dsig = pre, None
     if silu:
-        sig = 1.0 / (1.0 + np.exp(-pre))
-        data = pre * sig
+        sig = np.negative(pre)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
         if has_tangent or record:
-            dsig = sig * (1.0 + pre * (1.0 - sig))
+            dsig = np.subtract(1.0, sig)
+            dsig *= pre
+            dsig += 1.0
+            dsig *= sig
         if has_tangent:
-            tangent = dsig * tpre
+            tpre *= dsig
+        data = np.multiply(pre, sig, out=sig)
 
     def backward(g):
         gp = g if dsig is None else g * dsig
+        # column sums carry the shared row's share: b, and with ctx also
+        # W's and B's context rows and ctx itself
+        gsum = gp.sum(axis=0) if ctx is not None or b.in_graph else None
         if W.in_graph:
-            _accum(W, h.data.T @ gp)
+            _accum(W, _rows_grad(h.data, ctx, gp, gsum))
         if b.in_graph:
-            _accum(b, _unbroadcast(gp, b.shape))
-        gh = gp @ W.data.T if h.in_graph else None
+            _accum(b, gsum.reshape(b.shape))
+        gh = gp @ W.data[:d].T if h.in_graph else None
+        gctx = gsum @ W.data[d:].T if ctx is not None and ctx.in_graph else None
         if lora:
-            gpA = gamma * (gp @ A.data.T)
+            gpA = gp @ A.data.T
+            gpA *= gamma
             if A.in_graph:
                 _accum(A, ghB.T @ gp)
+            gAsum = gpA.sum(axis=0) if ctx is not None else None
             if B.in_graph:
-                _accum(B, h.data.T @ gpA)
+                _accum(B, _rows_grad(h.data, ctx, gpA, gAsum))
             if gh is not None:
-                gh = gh + gpA @ B.data.T
+                gh += gpA @ B.data[:d].T
+            if gctx is not None:
+                gctx += gAsum @ B.data[d:].T
         if gh is not None:
             _accum(h, gh)
+        if gctx is not None:
+            _accum(ctx, gctx)
 
-    return _make(data, tangent, parents, backward)
+    return _make(data, tpre, parents, backward)
+
+
+def _rows_grad(h, ctx, gp, gsum) -> np.ndarray:
+    """Cotangent of the weight M in z @ M, z = [h | ctx rows]: h.T @ gp,
+    with ctx's rows outer(ctx, column sums of gp) when there is a ctx."""
+    if ctx is None:
+        return h.T @ gp
+    d = h.shape[1]
+    out = np.empty((d + ctx.shape[0], gp.shape[1]))
+    np.matmul(h.T, gp, out=out[:d])
+    np.outer(ctx.data, gsum, out=out[d:])
+    return out
 
 
 def sin(a) -> Tensor:
@@ -456,8 +511,7 @@ def concat(tensors, axis=0) -> Tensor:
         tangent = np.concatenate(
             [t.tangent if t.tangent is not None else np.zeros(t.shape) for t in tensors],
             axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):

@@ -127,6 +127,8 @@ def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """
     if size not in (8, 16, 32):
         raise ValueError("size must be one of 8, 16, 32")
+    if n < 1:
+        raise ValueError(f"batch size n must be >= 1, got {n}")
     # per texture: the wave count k, then one block of its 4k wave and 3
     # edge uniforms, scattered row-major into the slots it fills
     ks, blocks = [], []

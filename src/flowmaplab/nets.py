@@ -2,12 +2,13 @@
 discriminator, and sinusoidal time embeddings.
 
 All networks are plain MLPs over the autodiff engine, one fused
-``ad.linear`` node per layer.  The flow-map trunk consumes
-``concat(x, embed(s), embed(t), cond_embedding)`` and returns an
-average-velocity estimate with the same shape as ``x``; evaluating on the
-diagonal s == t gives the instantaneous velocity.  Low-rank adapters act on
-the activations, h @ W + b + gamma * (h @ B) @ A, so no adapted weight is
-ever formed.
+``ad.linear`` node per layer.  The flow-map trunk reads each row of x
+followed by the context row ``concat(embed(s), embed(t), cond_embedding)``,
+which every row shares, so layer 0 meets that row once per batch rather than
+once per row.  It returns an average-velocity estimate with the same shape
+as ``x``; evaluating on the diagonal s == t gives the instantaneous
+velocity.  Low-rank adapters act on the activations,
+h @ W + b + gamma * (h @ B) @ A, so no adapted weight is ever formed.
 """
 
 from __future__ import annotations
@@ -41,13 +42,22 @@ def embed_frequencies(dim: int) -> np.ndarray:
 def time_embed(t, dim: int) -> Tensor:
     """Sinusoidal features [sin(w_k t), cos(w_k t)] as a length-``dim`` vector.
 
-    ``t`` may be a float or a scalar Tensor (so forward-mode tangents in the
-    time argument flow through the trig ops).
+    ``t`` may be a float or a scalar Tensor carrying a forward-mode tangent,
+    which the result carries on as [w_k cos(w_k t), -w_k sin(w_k t)] times
+    it.  The result is one Tensor with no tape history, so a ``t`` on the
+    tape is refused: its gradient would be dropped.
     """
-    freqs = Tensor(embed_frequencies(dim))
     ts = ad.as_tensor(t)
-    phase = ad.mul(ad.broadcast_to(ts, freqs.shape) if ts.shape == () else ts, freqs)
-    return ad.concat([ad.sin(phase), ad.cos(phase)], axis=0)
+    if ts.in_graph:
+        raise ValueError("time_embed records no backward: pass a time off the tape")
+    freqs = embed_frequencies(dim)
+    phase = ts.data * freqs
+    sin, cos = np.sin(phase), np.cos(phase)
+    tangent = None
+    if ts.tangent is not None:
+        tphase = ts.tangent * freqs
+        tangent = np.concatenate([cos * tphase, -sin * tphase])
+    return Tensor(np.concatenate([sin, cos]), tangent=tangent)
 
 
 def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -151,8 +161,11 @@ class FlowMapModel:
     def forward(self, x, s, t, cond: int, lora_scale: float | None = None) -> Tensor:
         """u_{s,t}(x | cond) for a batch x of shape (n, state_dim).
 
-        ``s`` and ``t`` may be floats or scalar Tensors carrying tangents.
-        Requires s <= t.
+        ``s`` and ``t`` may be floats or scalar Tensors carrying tangents
+        (but not on the tape).  Requires s <= t.  Layer 0 takes x and the
+        context row concat(embed(s), embed(t), cond row) apart: x meets
+        the first state_dim rows of its weight, the context row the rest,
+        once for the whole batch.
         """
         sv = s.item() if isinstance(s, Tensor) else float(s)
         tv = t.item() if isinstance(t, Tensor) else float(t)
@@ -163,23 +176,21 @@ class FlowMapModel:
             raise ValueError(f"cond must be one of {sorted(COND_NAMES.values())} "
                              f"({', '.join(COND_NAMES)}), got {cond!r}")
         x = ad.as_tensor(x)
-        if x.shape[-1] != self.state_dim:
-            raise ValueError(f"state dim {x.shape[-1]} != {self.state_dim}")
+        if x.data.ndim != 2 or x.shape[1] != self.state_dim:
+            raise ValueError(f"x must have shape (n, {self.state_dim}), got {x.shape}")
         self.eval_count += 1
 
-        n = x.shape[0]
-        es = ad.broadcast_to(time_embed(s, self.time_dim), (n, self.time_dim))
-        et = ad.broadcast_to(time_embed(t, self.time_dim), (n, self.time_dim))
-        ce = ad.broadcast_to(self.params["cond.table"][cond], (n, self.cond_dim))
-        h = ad.concat([x, es, et, ce], axis=1)
-
+        ctx = ad.concat([time_embed(s, self.time_dim), time_embed(t, self.time_dim),
+                         self.params["cond.table"][cond]], axis=0)
         gamma = self.lora_train_scale if lora_scale is None else lora_scale
+        h = x
         for i in range(self.depth + 1):
             B = A = None
             if self.lora is not None:
                 B, A = self.lora[i].B, self.lora[i].A
             h = ad.linear(h, self.params[f"layer{i}.W"], self.params[f"layer{i}.b"],
-                          silu=i < self.depth, B=B, A=A, gamma=gamma)
+                          silu=i < self.depth, B=B, A=A, gamma=gamma,
+                          ctx=ctx if i == 0 else None)
         return h
 
     __call__ = forward

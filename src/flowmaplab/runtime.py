@@ -341,7 +341,6 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
         adapters and then the discriminator."""
         batch = task.sample(plan.batch_size, rng, with_negative=True)
         ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
-        pair = sample_pair(plan.setting, plan.grid, rng)  # unused in pretraining
         g_cell = ""
         if pretrain:
             # the discriminator alone learns: no generator tape, no g_loss
@@ -349,6 +348,7 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
                 fake = two_step_prediction(model, batch.x1, ctx.cond)
             d_loss = disc_loss(disc, disc(Tensor(batch.x0)), fake)
         else:
+            pair = sample_pair(plan.setting, plan.grid, rng)
             g_loss, d_loss = rpgan_losses(
                 model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
                 weightnet=weightnet, pair=pair, setting=plan.setting,

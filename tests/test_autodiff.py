@@ -294,6 +294,67 @@ class TestLinear:
         assert off.data.tobytes() == base.data.tobytes()
         assert not g["B"].any() and not g["A"].any()
 
+    @pytest.mark.parametrize("silu", [True, False])
+    @pytest.mark.parametrize("with_adapter", [False, True])
+    def test_context_row_matches_concat_chain(self, silu, with_adapter):
+        # every parent taped and carrying a tangent, weights included
+        rng = np.random.default_rng(26)
+        shapes = {"h": (5, 2), "ctx": (3,), "W": (5, 4), "b": (4,)}
+        if with_adapter:
+            shapes.update(B=(5, 2), A=(2, 4))
+        x = {k: Tensor(rng.normal(size=sh), requires_grad=True, tangent=rng.normal(size=sh))
+             for k, sh in shapes.items()}
+        lora = dict(B=x["B"], A=x["A"], gamma=0.8) if with_adapter else {}
+        cot = rng.normal(size=(5, 4))
+
+        def chain():
+            z = ad.concat([x["h"], ad.broadcast_to(x["ctx"], (5, 3))], axis=1)
+            pre = ad.add(ad.matmul(z, x["W"]), x["b"])
+            if with_adapter:
+                pre = ad.add(pre, ad.mul(ad.matmul(ad.matmul(z, x["B"]), x["A"]), 0.8))
+            return ad.silu(pre) if silu else pre
+
+        fused, gf = _run(lambda: ad.linear(x["h"], x["W"], x["b"], silu=silu,
+                                           ctx=x["ctx"], **lora), x, cot)
+        ref, gr = _run(chain, x, cot)
+        assert rel_err(fused.data, ref.data) < 1e-12
+        assert rel_err(fused.tangent, ref.tangent) < 1e-12
+        for k in x:
+            assert rel_err(gf[k], gr[k]) < 1e-12, k
+        with ad.no_grad():
+            free = ad.linear(x["h"], x["W"], x["b"], silu=silu, ctx=x["ctx"], **lora)
+        assert free.data.tobytes() == fused.data.tobytes()
+        assert free.tangent.tobytes() == fused.tangent.tobytes()
+
+    def test_context_gradient_and_tangent_match_fd(self):
+        rng = np.random.default_rng(27)
+        h = Tensor(rng.normal(size=(4, 2)))
+        W, b = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=3))
+        B, A = Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=(2, 3)))
+        c0 = rng.normal(size=3)
+        cot = rng.normal(size=(4, 3))
+
+        def layer(c):
+            return ad.linear(h, W, b, silu=True, B=B, A=A, gamma=1.3, ctx=c)
+
+        def f(c):
+            with ad.no_grad():
+                return float(np.sum(layer(c).data * cot))
+
+        ctx = Tensor(c0, requires_grad=True)
+        _, g = _run(lambda: layer(ctx), {"ctx": ctx}, cot)
+        assert rel_err(g["ctx"], central_diff(f, c0)) < 1e-7
+        v = rng.normal(size=3)
+        _, tang = ad.jvp(layer, Tensor(c0), Tensor(v))
+        with ad.no_grad():
+            fp, fm = (layer(c0 + d * v).data for d in (1e-6, -1e-6))
+        assert rel_err(tang.data, (fp - fm) / 2e-6) < 1e-7
+
+    def test_context_must_fill_the_weight_rows(self):
+        x, _ = _layer_inputs(28)
+        with pytest.raises(ValueError, match="does not fill"):
+            ad.linear(x["h"][:, :2], x["W"], x["b"], ctx=Tensor(np.ones(2)))
+
     def test_nonconforming_adapter_rejected(self):
         x, rng = _layer_inputs(25)
         with pytest.raises(ValueError, match="do not conform"):

@@ -209,6 +209,9 @@ def test_texture_range_and_sizes():
         assert np.abs(imgs).max() <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         gen_texture(1, 12, np.random.default_rng(0))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"batch size n must be >= 1, got {n}"):
+            texture_pairs(n, 8, DegradeOpts(), np.random.default_rng(0))
 
 
 class TestResize:

@@ -33,6 +33,26 @@ class TestTimeEmbed:
         with pytest.raises(ValueError):
             embed_frequencies(7)
 
+    @pytest.mark.parametrize("tangent", [None, 1.0, 0.0, -0.37])
+    def test_matches_trig_op_chain_bit_for_bit(self, tangent):
+        # the tape-free embedding against sin and cos of the phase node
+        t = Tensor(0.61, tangent=None if tangent is None else np.asarray(tangent))
+        freqs = Tensor(embed_frequencies(16))
+        phase = ad.mul(ad.broadcast_to(t, freqs.shape), freqs)
+        ref = ad.concat([ad.sin(phase), ad.cos(phase)], axis=0)
+        e = time_embed(t, 16)
+        assert e.data.tobytes() == ref.data.tobytes()
+        if tangent is None:
+            assert e.tangent is None
+        else:
+            assert e.tangent.tobytes() == ref.tangent.tobytes()
+        assert not e.in_graph
+
+    def test_taped_time_refused(self):
+        # the embedding records no backward, so a gradient into t would vanish
+        with pytest.raises(ValueError, match="records no backward"):
+            time_embed(Tensor(0.4, requires_grad=True), 8)
+
     def test_tangent_flows_through_time(self):
         t = Tensor(0.4, tangent=np.asarray(1.0))
         e = time_embed(t, 8)
@@ -52,6 +72,17 @@ class TestFlowMapModel:
         model = FlowMapModel(2, hidden=16, depth=1)
         with pytest.raises(ValueError):
             model(np.zeros((1, 2)), 0.9, 0.1, COND_NULL)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3, 2), (3, 3)])
+    def test_rejects_non_batch_state(self, shape):
+        model = FlowMapModel(2, hidden=8, depth=1)
+        with pytest.raises(ValueError, match=r"x must have shape \(n, 2\)"):
+            model(np.zeros(shape), 0.1, 0.9, COND_NULL)
+
+    def test_taped_time_refused(self):
+        model = FlowMapModel(2, hidden=8, depth=1)
+        with pytest.raises(ValueError, match="records no backward"):
+            model(np.zeros((2, 2)), 0.1, Tensor(0.9, requires_grad=True), COND_NULL)
 
     def test_eval_count_increments(self):
         model = FlowMapModel(2, hidden=16, depth=1)
@@ -141,9 +172,9 @@ class TestLora:
 
     @pytest.mark.parametrize("rank", [0, 4])
     def test_one_tape_node_per_layer(self, rank, monkeypatch):
-        # 15 input nodes (two time embeddings, the condition row, concat) and
-        # one fused node for each of the depth + 1 = 5 layers; the unfused
-        # chain made 29 nodes, and 44 with adapters
+        # the condition row and the context concat, then one fused node for
+        # each of the depth + 1 = 5 layers; the (n, d + 80) layer input made
+        # 20 nodes, and the unfused chain 29, or 44 with adapters
         model = FlowMapModel(2, hidden=16, depth=4, time_dim=8, cond_dim=4,
                              rng=np.random.default_rng(12))
         if rank:
@@ -153,10 +184,68 @@ class TestLora:
         monkeypatch.setattr(ad, "_make", lambda *a: made.append(1) or make(*a))
         out = model(np.ones((3, 2)), 0.25, 0.75, COND_POSITIVE, lora_scale=1.0)
         assert out.in_graph
-        assert len(made) <= 20
+        assert len(made) <= 7
+
+
+class TestContextRow:
+    """Layer 0 with the shared context row against the concatenated input
+    concat(x, broadcast(ctx)) @ W0 + b0 (+ gamma * (. @ B0) @ A0), then silu."""
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_fused_layer0_matches_concat_chain(self, rank):
+        rng = np.random.default_rng(30)
+        model = FlowMapModel(3, hidden=6, depth=1, time_dim=4, cond_dim=2, rng=rng)
+        B = A = None
+        if rank:
+            model.attach_lora(rank, rng)
+            B, A = model.lora[0].B, model.lora[0].A
+            A.data = rng.normal(size=A.shape)
+        W, b = model.params["layer0.W"], model.params["layer0.b"]
+        b.data = rng.normal(size=b.shape)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True,
+                   tangent=rng.normal(size=(5, 3)))
+        s, t = (Tensor(v, tangent=np.asarray(dv)) for v, dv in ((0.2, 0.7), (0.65, -1.3)))
+        cot = rng.normal(size=(5, 6))
+        params = {"x": x, **model.trainable_params()}
+
+        def run(fused):
+            ctx = ad.concat([time_embed(s, 4), time_embed(t, 4),
+                             model.params["cond.table"][COND_NEGATIVE]], axis=0)
+            if fused:
+                out = ad.linear(x, W, b, silu=True, B=B, A=A, gamma=1.7, ctx=ctx)
+            else:
+                h = ad.concat([x, ad.broadcast_to(ctx, (5, ctx.shape[0]))], axis=1)
+                pre = ad.add(ad.matmul(h, W), b)
+                if rank:
+                    pre = ad.add(pre, ad.mul(ad.matmul(ad.matmul(h, B), A), 1.7))
+                out = ad.silu(pre)
+            return out, ad.grad(ad.sum_(ad.mul(out, cot)), params)
+
+        (fused, gf), (chain, gc) = run(True), run(False)
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        assert rel(fused.data, chain.data) < 1e-12
+        assert rel(fused.tangent, chain.tangent) < 1e-12
+        names = ["x", "layer0.W", "layer0.b", "cond.table"]
+        names += ["layer0.lora.B", "layer0.lora.A"] if rank else []
+        for k in names:
+            assert np.any(gc[k] != 0.0), k
+            assert rel(gf[k], gc[k]) < 1e-12, k
 
 
 class TestWeightNet:
+    def test_five_tape_nodes(self, monkeypatch):
+        # the two tape-free time embeddings, their concat and row, two
+        # fused layers and the sum; the trig-op embeddings made 15 nodes
+        wn = WeightNet(time_dim=8, rng=np.random.default_rng(14))
+        made = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *a: made.append(1) or make(*a))
+        assert wn(0.3, 0.6).in_graph
+        assert len(made) <= 5
+
     def test_zero_at_init_everywhere(self):
         wn = WeightNet(rng=np.random.default_rng(11))
         for s, t in ((0.0, 0.0), (0.2, 0.8), (1.0, 1.0)):

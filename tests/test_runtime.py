@@ -140,8 +140,12 @@ class TestTrainLoop:
         res = train(plan, Gaussian2DTask(), seed=4)
         save_result(fused, res, "gaussian2d")
 
-        def unfused(h, W, b, silu=False, B=None, A=None, gamma=1.0):
-            out = ad.add(ad.matmul(h, W), b)
+        def unfused(h, W, b, silu=False, B=None, A=None, gamma=1.0, ctx=None):
+            if ctx is None:
+                out = ad.add(ad.matmul(h, W), b)
+            else:  # layer 0: the batch rows of W, then the shared context row
+                d = h.shape[1]
+                out = ad.add(ad.matmul(h, W[:d]), ad.add(ad.matmul(ctx, W[d:]), b))
             return ad.silu(out) if silu else out
 
         monkeypatch.setattr(ad, "linear", unfused)
@@ -378,6 +382,13 @@ class TestEvaluate:
         rep = evaluate_sr(res.model, task, 4,
                           SamplerConfig(steps=2, cond=COND_NULL, lora_scale=0.0))
         assert {"psnr_model", "psnr_baseline"} <= set(rep)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sr_refuses_empty_batch(self, n):
+        task = TextureSRTask(size=8)
+        model = FlowMapModel(task.state_dim, hidden=8, depth=1, time_dim=8, cond_dim=4)
+        with pytest.raises(ValueError, match=f"batch size n must be >= 1, got {n}"):
+            evaluate_sr(model, task, n, SamplerConfig(steps=1, cond=COND_NULL, lora_scale=0.0))
 
 
 class TestPersistence:
