@@ -1,8 +1,11 @@
 """Dense float64 tensor algebra with reverse-mode gradients and forward-mode JVPs.
 
-A small tape-based engine: each op records a backward closure on its output
-node while gradient recording is enabled.  Forward-mode derivatives are
-carried as an optional tangent array alongside the primal value, so a single
+A small tape-based engine: each op records its parents and a backward
+closure on its output node while gradient recording is enabled; the closure
+maps the output's cotangent to one cotangent per parent.  ``grad`` is the
+only reverse-mode driver and keeps every cotangent in a dict local to the
+call, so no Tensor stores a gradient.  Forward-mode derivatives are carried
+as an optional tangent array alongside the primal value, so a single
 evaluation of a function on seeded inputs yields a jacobian-vector product.
 Tangent propagation never records on the tape (targets built from JVPs are
 always stop-gradiented downstream).
@@ -50,12 +53,11 @@ class Tensor:
 
     ``data`` is always float64.  ``tangent`` (same shape, or None) carries the
     forward-mode directional derivative.  ``requires_grad`` marks trainable
-    leaves; interior graph nodes get backward closures from the op that made
-    them.
+    leaves; interior graph nodes get their parents and a backward closure
+    from the op that made them.
     """
 
-    __slots__ = ("data", "tangent", "requires_grad", "grad", "_prev", "_backward",
-                 "__weakref__")
+    __slots__ = ("data", "tangent", "requires_grad", "_prev", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, tangent=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -64,7 +66,6 @@ class Tensor:
             raise ValueError(
                 f"tangent shape {self.tangent.shape} != primal shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._prev = ()
         self._backward = None
 
@@ -81,49 +82,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-    def backward(self):
-        """Reverse-mode accumulation from this scalar node.
-
-        Gradients land on the leaves.  Each interior node's cotangent is
-        freed as soon as its own backward has run: in reverse topological
-        order it is complete by then and nothing reads it again.  If a
-        backward raises, every interior ``.grad`` is still cleared, so a
-        second call starts from zero.
-        """
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar loss node")
-        # depth-first post-order, parents in recorded order; iterative, so
-        # no self-referencing closure keeps the tape alive after the call
-        topo, seen, stack = [], set(), []
-        if self.in_graph:
-            seen.add(id(self))
-            stack.append((self, iter(self._prev)))
-        while stack:
-            node, parents = stack[-1]
-            for p in parents:
-                if id(p) not in seen and p.in_graph:
-                    seen.add(id(p))
-                    stack.append((p, iter(p._prev)))
-                    break
-            else:
-                stack.pop()
-                topo.append(node)
-        self.grad = np.ones_like(self.data)
-        try:
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-                    node.grad = None
-        finally:
-            for node in topo:
-                if node._backward is not None:
-                    node.grad = None
 
     # -- operator sugar ---------------------------------------------------
 
@@ -157,22 +117,26 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, tangent, parents, backward):
-    """Assemble an op output: tangent always, tape closure only if recording."""
+def _make(data, tangent, parents: tuple, backward):
+    """Assemble an op output: tangent always, tape record only if recording.
+
+    The record is every parent and ``backward(g)``, which returns one
+    cotangent per parent, in order, or None for a parent off the tape.
+    """
     out = Tensor(data, tangent=tangent)
     if grad_enabled() and any(p.in_graph for p in parents):
-        out._prev = tuple(p for p in parents if p.in_graph)
+        out._prev = parents
         out._backward = backward
     return out
 
 
-def _accum(node: Tensor, g: np.ndarray):
-    if not node.in_graph:
-        return
-    if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        node.grad = node.grad + g
+def _pointwise(a: Tensor, data, slope) -> Tensor:
+    """Output ``data`` of an elementwise op of ``a`` whose derivative is
+    ``slope()``: the tangent is slope * a.tangent and the cotangent g * slope.
+    The slope is formed only when the tangent or the backward reads it."""
+    s = None if a.tangent is None else slope()
+    tangent = None if s is None else s * a.tangent
+    return _make(data, tangent, (a,), lambda g: (g * (slope() if s is None else s),))
 
 
 # -- elementary ops -------------------------------------------------------
@@ -188,10 +152,8 @@ def add(a, b) -> Tensor:
             + np.broadcast_to(0.0 if tb is None else tb, data.shape)
 
     def backward(g):
-        if a.in_graph:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.in_graph:
-            _accum(b, _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.in_graph else None,
+                _unbroadcast(g, b.shape) if b.in_graph else None)
 
     return _make(data, tangent, (a, b), backward)
 
@@ -206,10 +168,8 @@ def sub(a, b) -> Tensor:
             - np.broadcast_to(0.0 if tb is None else tb, data.shape)
 
     def backward(g):
-        if a.in_graph:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.in_graph:
-            _accum(b, _unbroadcast(-g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.in_graph else None,
+                _unbroadcast(-g, b.shape) if b.in_graph else None)
 
     return _make(data, tangent, (a, b), backward)
 
@@ -227,10 +187,8 @@ def mul(a, b) -> Tensor:
             tangent = tangent + a.data * tb
 
     def backward(g):
-        if a.in_graph:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.in_graph:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.in_graph else None,
+                _unbroadcast(g * a.data, b.shape) if b.in_graph else None)
 
     return _make(data, tangent, (a, b), backward)
 
@@ -248,12 +206,14 @@ def matmul(a, b) -> Tensor:
             tangent = tangent + a.data @ tb
 
     def backward(g):
+        ga = gb = None
         if a.in_graph:
             ga = g @ b.data.T if b.data.ndim == 2 else np.outer(g, b.data)
-            _accum(a, _unbroadcast(np.atleast_1d(ga).reshape(a.shape) if ga.shape != a.shape else ga, a.shape))
+            ga = _unbroadcast(np.atleast_1d(ga).reshape(a.shape) if ga.shape != a.shape else ga, a.shape)
         if b.in_graph:
             gb = a.data.T @ g if a.data.ndim == 2 else np.outer(a.data, g)
-            _accum(b, _unbroadcast(gb.reshape(b.shape) if gb.shape != b.shape else gb, b.shape))
+            gb = _unbroadcast(gb.reshape(b.shape) if gb.shape != b.shape else gb, b.shape)
+        return ga, gb
 
     return _make(data, tangent, (a, b), backward)
 
@@ -261,95 +221,40 @@ def matmul(a, b) -> Tensor:
 def sum_(a, axis=None) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis)
-    ta = a.tangent
-    tangent = None if ta is None else ta.sum(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
-
-    return _make(data, tangent, (a,), backward)
+    tangent = None if a.tangent is None else a.tangent.sum(axis=axis)
+    return _make(data, tangent, (a,), lambda g: (
+        np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape),))
 
 
 def mean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     data = a.data.mean(axis=axis)
-    ta = a.tangent
-    tangent = None if ta is None else ta.mean(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.shape))
-
-    return _make(data, tangent, (a,), backward)
+    tangent = None if a.tangent is None else a.tangent.mean(axis=axis)
+    return _make(data, tangent, (a,), lambda g: (
+        np.broadcast_to(g / n if axis is None else np.expand_dims(g / n, axis), a.shape),))
 
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    data = a.data ** 2
-    ta = a.tangent
-    tangent = None if ta is None else 2.0 * a.data * ta
-
-    def backward(g):
-        _accum(a, g * 2.0 * a.data)
-
-    return _make(data, tangent, (a,), backward)
+    return _pointwise(a, a.data ** 2, lambda: 2.0 * a.data)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
-    ta = a.tangent
-    tangent = None if ta is None else data * ta
-
-    def backward(g):
-        _accum(a, g * data)
-
-    return _make(data, tangent, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-    ta = a.tangent
-    tangent = None if ta is None else ta / a.data
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(data, tangent, (a,), backward)
+    return _pointwise(a, data, lambda: data)
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
-    data = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    ta = a.tangent
-    tangent = None if ta is None else sig * ta
-
-    def backward(g):
-        _accum(a, g * sig)
-
-    return _make(data, tangent, (a,), backward)
+    return _pointwise(a, np.logaddexp(0.0, a.data), lambda: 1.0 / (1.0 + np.exp(-a.data)))
 
 
 def silu(a) -> Tensor:
     a = as_tensor(a)
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    data = a.data * sig
-    dsig = sig * (1.0 + a.data * (1.0 - sig))
-    ta = a.tangent
-    tangent = None if ta is None else dsig * ta
-
-    def backward(g):
-        _accum(a, g * dsig)
-
-    return _make(data, tangent, (a,), backward)
+    return _pointwise(a, a.data * sig, lambda: sig * (1.0 + a.data * (1.0 - sig)))
 
 
 def linear(h, W, b, silu=False, B=None, A=None, gamma=1.0, ctx=None) -> Tensor:
@@ -441,28 +346,22 @@ def linear(h, W, b, silu=False, B=None, A=None, gamma=1.0, ctx=None) -> Tensor:
         # column sums carry the shared row's share: b, and with ctx also
         # W's and B's context rows and ctx itself
         gsum = gp.sum(axis=0) if ctx is not None or b.in_graph else None
-        if W.in_graph:
-            _accum(W, _rows_grad(h.data, ctx, gp, gsum))
-        if b.in_graph:
-            _accum(b, gsum.reshape(b.shape))
+        gW = _rows_grad(h.data, ctx, gp, gsum) if W.in_graph else None
+        gb = gsum.reshape(b.shape) if b.in_graph else None
         gh = gp @ W.data[:d].T if h.in_graph else None
         gctx = gsum @ W.data[d:].T if ctx is not None and ctx.in_graph else None
+        cots = [gh, gW, gb] + ([gctx] if ctx is not None else [])
         if lora:
             gpA = gp @ A.data.T
             gpA *= gamma
-            if A.in_graph:
-                _accum(A, ghB.T @ gp)
             gAsum = gpA.sum(axis=0) if ctx is not None else None
-            if B.in_graph:
-                _accum(B, _rows_grad(h.data, ctx, gpA, gAsum))
             if gh is not None:
                 gh += gpA @ B.data[:d].T
             if gctx is not None:
                 gctx += gAsum @ B.data[d:].T
-        if gh is not None:
-            _accum(h, gh)
-        if gctx is not None:
-            _accum(ctx, gctx)
+            cots += [_rows_grad(h.data, ctx, gpA, gAsum) if B.in_graph else None,
+                     ghB.T @ gp if A.in_graph else None]
+        return cots
 
     return _make(data, tpre, parents, backward)
 
@@ -481,30 +380,16 @@ def _rows_grad(h, ctx, gp, gsum) -> np.ndarray:
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    data = np.sin(a.data)
-    ta = a.tangent
-    tangent = None if ta is None else np.cos(a.data) * ta
-
-    def backward(g):
-        _accum(a, g * np.cos(a.data))
-
-    return _make(data, tangent, (a,), backward)
+    return _pointwise(a, np.sin(a.data), lambda: np.cos(a.data))
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    data = np.cos(a.data)
-    ta = a.tangent
-    tangent = None if ta is None else -np.sin(a.data) * ta
-
-    def backward(g):
-        _accum(a, g * (-np.sin(a.data)))
-
-    return _make(data, tangent, (a,), backward)
+    return _pointwise(a, np.cos(a.data), lambda: -np.sin(a.data))
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    tensors = tuple(as_tensor(t) for t in tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     tangent = None
     if any(t.tangent is not None for t in tensors):
@@ -514,12 +399,14 @@ def concat(tensors, axis=0) -> Tensor:
     offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
+        sl = [slice(None)] * g.ndim
+        cots = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+            cots.append(g[tuple(sl)])
+        return cots
 
-    return _make(data, tangent, tuple(tensors), backward)
+    return _make(data, tangent, tensors, backward)
 
 
 def slice_(a, idx) -> Tensor:
@@ -531,7 +418,7 @@ def slice_(a, idx) -> Tensor:
     def backward(g):
         full = np.zeros(a.shape)
         np.add.at(full, idx, g)
-        _accum(a, full)
+        return (full,)
 
     return _make(data, tangent, (a,), backward)
 
@@ -541,11 +428,7 @@ def broadcast_to(a, shape) -> Tensor:
     data = np.broadcast_to(a.data, shape).copy()
     ta = a.tangent
     tangent = None if ta is None else np.broadcast_to(ta, shape).copy()
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-
-    return _make(data, tangent, (a,), backward)
+    return _make(data, tangent, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def stop_gradient(a) -> Tensor:
@@ -560,51 +443,55 @@ def stop_gradient(a) -> Tensor:
 def grad(loss: Tensor, params: dict) -> dict:
     """Reverse-mode partials of a scalar ``loss`` w.r.t. named parameters.
 
-    Parameters not reached by the loss map to zero arrays.  The returned
-    arrays belong to the caller: each requested parameter's ``.grad`` is
-    reset to None, so no gradient outlives the caller's use of it.
+    The cotangents live in one dict local to the call, keyed by node, so
+    no Tensor stores a gradient and a backward that raises leaves nothing
+    behind.  Each interior node's cotangent is popped right before its own
+    backward runs: in reverse topological order it is complete then, and
+    nothing reads it again.  A node's first cotangent is copied, later ones
+    are added.  Each requested parameter gets its leaf cotangent, or zeros
+    if the loss does not reach it on the tape.
     """
     if loss.data.size != 1:
         raise ValueError("grad() requires a scalar loss")
-    for p in params.values():
-        p.grad = None
-    try:
-        loss.backward()
-        return {name: np.zeros(p.shape) if p.grad is None else p.grad
-                for name, p in params.items()}
-    finally:
-        for p in params.values():
-            p.grad = None
+    # depth-first post-order, parents in recorded order; iterative, so
+    # no self-referencing closure keeps the tape alive after the call
+    topo, seen, stack = [], set(), []
+    if loss.in_graph:
+        seen.add(id(loss))
+        stack.append((loss, iter(loss._prev)))
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if id(p) not in seen and p.in_graph:
+                seen.add(id(p))
+                stack.append((p, iter(p._prev)))
+                break
+        else:
+            stack.pop()
+            topo.append(node)
+    cots = {loss: np.ones_like(loss.data)}
+    for node in reversed(topo):
+        if node._backward is None or node not in cots:
+            continue
+        for p, c in zip(node._prev, node._backward(cots.pop(node))):
+            if c is not None and p.in_graph:
+                cots[p] = cots[p] + c if p in cots else np.array(c, dtype=np.float64, copy=True)
+        del c  # the last cotangent dies before the next backward runs
+    return {name: cots[p] if p in cots else np.zeros(p.shape) for name, p in params.items()}
 
 
 def jvp(f, x: Tensor, v: Tensor):
     """Value and directional derivative of ``f`` at ``x`` along ``v``.
 
     Runs outside gradient recording; the caller stop-gradients the result.
+    Other inputs of ``f`` may carry tangents too (a time built as
+    ``Tensor(t, tangent=dt)``), and the result is then the total
+    derivative along all of them.
     """
     x, v = as_tensor(x), as_tensor(v)
     if x.shape != v.shape:
         raise ValueError(f"tangent shape {v.shape} != point shape {x.shape}")
     with no_grad():
         out = f(Tensor(x.data, tangent=v.data))
-    tangent = out.tangent if out.tangent is not None else np.zeros(out.shape)
-    return Tensor(out.data), Tensor(tangent)
-
-
-def jvp_joint(f, x: Tensor, s: float, t: float, dx, ds: float, dt: float):
-    """Value and total directional derivative of ``f(x, s, t)``.
-
-    The tangent is ``grad_x f . dx + d_s f . ds + d_t f . dt``; ``s`` and
-    ``t`` are scalars.
-    """
-    x = as_tensor(x)
-    dx = as_tensor(dx)
-    if x.shape != dx.shape:
-        raise ValueError(f"tangent shape {dx.shape} != point shape {x.shape}")
-    with no_grad():
-        xs = Tensor(x.data, tangent=dx.data)
-        ss = Tensor(float(s), tangent=float(ds))
-        ts = Tensor(float(t), tangent=float(dt))
-        out = f(xs, ss, ts)
     tangent = out.tangent if out.tangent is not None else np.zeros(out.shape)
     return Tensor(out.data), Tensor(tangent)

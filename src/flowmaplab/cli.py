@@ -22,7 +22,7 @@ from .oracle import GaussianTask, check_identity
 from .runtime import (Gaussian2DTask, PhasePlan, SamplerConfig, TASKS,
                       TextureSRTask, TrainAbort, evaluate_gaussian, evaluate_sr,
                       load_model, sample, save_result, train)
-from .schedule import GridConfig, SETTINGS
+from .schedule import GridConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,9 +60,7 @@ def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
         if key in _SCALAR_FIELDS:
             setattr(plan, key, getattr(sec, _SCALAR_FIELDS[key])(key))
         elif key == "setting":
-            if sec[key] not in SETTINGS:
-                raise ValueError(f"unknown setting {sec[key]!r}")
-            plan.setting = sec[key]
+            plan.setting = sec[key]  # train refuses an unknown one
         elif key == "d_max":
             plan.grid = GridConfig(d_max=sec.getint(key), p_fm=plan.grid.p_fm)
         elif key == "p_fm":
@@ -112,18 +110,29 @@ def _require_n(n: int, least: int, why: str = "") -> None:
         raise ValueError(f"--n must be at least {least}{why}, got {n}")
 
 
-def _cmd_sample(args) -> int:
-    _require_n(args.n, 1)
+def _load_for_sampling(args):
+    """The model a checkpoint holds, the ``SamplerConfig`` the command asks
+    for, and the task the checkpoint was trained on."""
     model, meta = load_model(args.checkpoint)
     cfg = SamplerConfig(steps=args.steps, cond=COND_NAMES[args.cond],
                         lora_scale=args.lora_scale,
                         d_max=int(meta.get("d_max", 7)))
+    name = meta.get("task", "gaussian2d")
+    if name not in TASKS:
+        raise ValueError(f"unknown task {name!r} in checkpoint")
+    if name == "texture_sr":
+        return model, cfg, TextureSRTask(size=int(round(float(model.state_dim) ** 0.5)))
+    return model, cfg, TASKS[name]()
+
+
+def _cmd_sample(args) -> int:
+    _require_n(args.n, 1)
+    model, cfg, task = _load_for_sampling(args)
     rng = np.random.default_rng(args.seed)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if meta.get("task") == "texture_sr":
-        size = int(round(float(model.state_dim) ** 0.5))
-        task = TextureSRTask(size=size)
+    if isinstance(task, TextureSRTask):
+        size = task.size
         batch = task.sample(args.n, rng)
         x0_hat = sample(model, batch.x1, cfg)[-1]
         for i in range(args.n):
@@ -131,7 +140,6 @@ def _cmd_sample(args) -> int:
             save_pgm(out / f"sample_{i:04d}.pgm",
                      np.clip(x0_hat[i].reshape(size, size), -1.0, 1.0))
     else:
-        task = task_from_config_meta(meta)
         x1 = task.source_samples(args.n, rng)
         x0_hat = sample(model, x1, cfg)[-1]
         np.savetxt(out / "samples.csv", x0_hat, delimiter=",",
@@ -144,30 +152,17 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def task_from_config_meta(meta: dict):
-    name = meta.get("task", "gaussian2d")
-    if name not in TASKS:
-        raise ValueError(f"unknown task {name!r} in checkpoint")
-    return TASKS[name]()
-
-
 def _cmd_eval(args) -> int:
     _require_n(args.n, 1)
-    model, meta = load_model(args.checkpoint)
-    cfg = SamplerConfig(steps=args.steps, cond=COND_NAMES[args.cond],
-                        lora_scale=args.lora_scale,
-                        d_max=int(meta.get("d_max", 7)))
-    if meta.get("task") == "texture_sr":
-        size = int(round(float(model.state_dim) ** 0.5))
-        report = evaluate_sr(model, TextureSRTask(size=size), args.n, cfg,
-                             seed=args.seed)
-    else:
-        task = task_from_config_meta(meta)
-        if not isinstance(task, Gaussian2DTask):
-            print(f"no closed-form metric for task {task.name}", file=sys.stderr)
-            return EXIT_USAGE
+    model, cfg, task = _load_for_sampling(args)
+    if isinstance(task, TextureSRTask):
+        report = evaluate_sr(model, task, args.n, cfg, seed=args.seed)
+    elif isinstance(task, Gaussian2DTask):
         _require_n(args.n, 2, " for the W2 metric")
         report = evaluate_gaussian(model, task, args.n, cfg, seed=args.seed)
+    else:
+        print(f"no closed-form metric for task {task.name}", file=sys.stderr)
+        return EXIT_USAGE
     bad = any(isinstance(v, float) and not np.isfinite(v) for v in report.values())
     for k, v in sorted(report.items()):
         print(f"{k}={v}")

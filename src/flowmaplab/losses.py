@@ -98,13 +98,14 @@ def _consistency_target(setting: str, model, x_t: np.ndarray, v: np.ndarray,
     esd: v - (t-s)(grad u . v + d_t u)
     ssd: half-step composition through the midpoint r = (s+t)/2 (reads no v)
     """
-    f = lambda x, ss, tt: model(x, ss, tt, cond)
+    def along(dx, ds, dt):  # d/de u_{s+e ds, t+e dt}(x_t + e dx | cond) at e = 0
+        return ad.jvp(lambda x: model(x, Tensor(s, tangent=ds), Tensor(t, tangent=dt), cond),
+                      x_t, dx)[1].data
+
     if setting == LSD:
-        _, du_ds = ad.jvp_joint(f, Tensor(x_t), s, t, np.zeros_like(x_t), 1.0, 0.0)
-        target = v + (t - s) * du_ds.data
+        target = v + (t - s) * along(np.zeros_like(x_t), 1.0, 0.0)
     elif setting == ESD:
-        _, total = ad.jvp_joint(f, Tensor(x_t), s, t, v, 0.0, 1.0)
-        target = v - (t - s) * total.data
+        target = v - (t - s) * along(v, 0.0, 1.0)
     else:
         r = 0.5 * (s + t)
         with ad.no_grad():

@@ -22,7 +22,7 @@ from .io import load_checkpoint, save_checkpoint
 from .losses import (GuidanceContext, combined_loss, disc_loss, draw_guidance, fm_loss,
                      rpgan_losses, two_step_prediction)
 from .nets import COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet
-from .schedule import GridConfig, SSD, fm_pair, sample_pair
+from .schedule import GridConfig, SETTINGS, SSD, fm_pair, sample_pair
 
 METRICS_HEADER = ["step", "phase", "loss_main", "loss_perc", "loss_weighted",
                   "lambda_mean", "g_loss", "d_loss"]
@@ -223,15 +223,17 @@ def sample(model: FlowMapModel, x1: np.ndarray, cfg: SamplerConfig) -> list:
     """Few-step generation on the uniform dyadic grid; returns the iterates
     x_K .. x_0 (clean endpoint last).  One model evaluation per step."""
     k_steps = cfg.steps
-    x = np.asarray(x1, dtype=np.float64).copy()
-    trajectory = [x.copy()]
+    # the one copy: the caller's x1 is never aliased, and each step makes
+    # a fresh iterate that nothing writes to afterwards
+    x = np.array(x1, dtype=np.float64)
+    trajectory = [x]
     delta = 1.0 / k_steps
     with ad.no_grad():
         for k in range(k_steps - 1, -1, -1):
             t_lo, t_hi = k * delta, (k + 1) * delta
             u = model(x, t_lo, t_hi, cfg.cond, lora_scale=cfg.lora_scale)
             x = x - delta * u.data
-            trajectory.append(x.copy())
+            trajectory.append(x)
     return trajectory
 
 
@@ -266,6 +268,20 @@ class TrainResult:
         return buf.getvalue()
 
 
+def _check_plan(plan: PhasePlan) -> None:
+    """Refuse, naming the field, a plan that ``train`` cannot run as written."""
+    for name in ("fm_steps", "fmsd_steps", "cfg_steps", "d_pretrain_steps", "adv_steps"):
+        if getattr(plan, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(plan, name)}")
+    if plan.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {plan.batch_size}")
+    if plan.adv_steps > 0 and plan.lora_rank < 1:
+        raise ValueError(f"lora_rank must be >= 1 when adv_steps > 0, got {plan.lora_rank}")
+    if plan.setting not in SETTINGS:
+        raise ValueError(f"setting must be one of {', '.join(SETTINGS)}, "
+                         f"got {plan.setting!r}")
+
+
 def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     """Run the four phases and return the trained components plus metrics.
 
@@ -277,6 +293,7 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     both are frozen through phase 4, so no backward computes or keeps
     their gradients there.
     """
+    _check_plan(plan)
     rng = np.random.default_rng(seed)
     model = FlowMapModel(task.state_dim, hidden=plan.hidden, depth=plan.depth,
                          time_dim=plan.time_dim, cond_dim=plan.cond_dim,

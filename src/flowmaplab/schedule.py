@@ -35,7 +35,6 @@ class TimestepPair:
     t: GridTime
     is_fm: bool
     level: int
-    r: GridTime | None = None  # midpoint, shortcut setting only
 
     @property
     def s_value(self) -> float:
@@ -92,9 +91,7 @@ def sample_pair(setting: str, cfg: GridConfig, rng: np.random.Generator) -> Time
     if setting == SSD:
         d = int(rng.integers(0, cfg.d_max))
         k = int(rng.integers(1, (1 << d) + 1))
-        s, t = GridTime(k - 1, d), GridTime(k, d)
-        r = GridTime(2 * k - 1, d + 1)
-        return TimestepPair(s=s, t=t, is_fm=False, level=d, r=r)
+        return TimestepPair(s=GridTime(k - 1, d), t=GridTime(k, d), is_fm=False, level=d)
 
     d = int(rng.integers(0, cfg.d_max + 1))
     k = int(rng.integers(1, (1 << d) + 1))

@@ -169,6 +169,22 @@ def test_sr_sample_writes_pgm(tmp_path):
     assert load_pgm(out / "input_0000.pgm").shape == (8, 8)
 
 
+@pytest.mark.parametrize("task,code,expected", [
+    ("texture_sr\nsize = 8", 0, "psnr_model="),
+    ("toy2d", 1, "no closed-form metric for task toy2d"),
+])
+def test_eval_reads_the_task_from_the_checkpoint(tmp_path, capsys, task, code, expected):
+    # sample and eval rebuild the model, sampler and task the same way
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(TINY_CFG.replace("task = gaussian2d", f"task = {task}"))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--n", "2"]) == code
+    captured = capsys.readouterr()
+    assert expected in captured.out + captured.err
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["bogus"]) == 1
@@ -199,6 +215,19 @@ class TestExitCodes:
         cfg.write_text("[train]\nwarp_factor = 9\n")
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("cfg_text,field", [
+        (TINY_CFG.replace("fm_steps = 4", "fm_steps = -3"), "fm_steps"),
+        (TINY_CFG.replace("batch_size = 8", "batch_size = 0"), "batch_size"),
+        (TINY_CFG + "lora_rank = 0\n", "lora_rank"),
+    ])
+    def test_unrunnable_plan_is_one(self, tmp_path, capsys, cfg_text, field):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(cfg_text)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 1
+        assert field in capsys.readouterr().err
+        assert not (run / "model.ckpt").exists()
 
     def test_numeric_failure_is_two(self, tmp_path, monkeypatch):
         # force a non-finite loss immediately via an absurd learning rate

@@ -67,6 +67,24 @@ class TestTrainLoop:
         phases = {r[1] for r in res.metrics_rows}
         assert phases == {"fm", "fmsd"}
 
+    @pytest.mark.parametrize("over,field", [
+        (dict(fm_steps=-3), "fm_steps"),
+        (dict(fmsd_steps=-1), "fmsd_steps"),
+        (dict(cfg_steps=-1), "cfg_steps"),
+        (dict(d_pretrain_steps=-1), "d_pretrain_steps"),
+        (dict(adv_steps=-1), "adv_steps"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(lora_rank=0), "lora_rank"),
+        (dict(setting="bogus", fmsd_steps=0, cfg_steps=0, adv_steps=0), "setting"),
+    ])
+    def test_refuses_plans_it_cannot_run(self, over, field):
+        with pytest.raises(ValueError, match=field):
+            train(tiny_plan(**over), Gaussian2DTask(), seed=0)
+
+    def test_no_adapter_rank_needed_without_adversarial_steps(self):
+        res = train(tiny_plan(lora_rank=0, adv_steps=0), Gaussian2DTask(), seed=0)
+        assert res.model.lora is None
+
     def test_deterministic_given_seed(self):
         a = train(tiny_plan(), Gaussian2DTask(), seed=3)
         b = train(tiny_plan(), Gaussian2DTask(), seed=3)
@@ -251,12 +269,9 @@ class TestLifetimes:
         assert seen["alive"] == [False, False, True, True]
 
     def test_no_gradient_outlives_train(self):
-        # ad.grad resets what it returns, and the frozen weighting head
-        # gathers nothing in phase 4
+        # no Tensor holds a gradient, and the weighting head, frozen through
+        # phase 4, is trainable again once train returns
         res = train(tiny_plan(), Gaussian2DTask(), seed=0)
-        params = [*res.model.params.values(), *res.model.lora_params().values(),
-                  *res.weightnet.params.values(), *res.disc.params.values()]
-        assert all(p.grad is None for p in params)
         assert all(p.requires_grad for p in res.weightnet.params.values())
 
 
@@ -269,6 +284,16 @@ class TestSample:
         assert len(traj) == 5
         np.testing.assert_array_equal(traj[0], x1)
         assert traj[-1].shape == (5, 2)
+
+    def test_trajectory_shares_no_memory(self):
+        # one copy guards the caller's x1; every step makes a fresh iterate
+        res = train(tiny_plan(adv_steps=0), Gaussian2DTask(), seed=0)
+        x1 = np.random.default_rng(2).normal(size=(4, 2))
+        traj = sample(res.model, x1, SamplerConfig(steps=4, cond=COND_NULL,
+                                                   lora_scale=0.0))
+        assert not np.shares_memory(traj[0], x1)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(traj) for b in traj[i + 1:])
 
     def test_one_step_is_direct_jump(self):
         res = train(tiny_plan(adv_steps=0), Gaussian2DTask(), seed=0)

@@ -51,11 +51,12 @@ def test_ssd_pairs_are_adjacent_with_exact_midpoint():
         if p.is_fm:
             continue
         seen_sd += 1
-        assert p.t.k - p.s.k == 1 and p.s.d == p.t.d
+        assert p.t.k - p.s.k == 1 and p.s.d == p.t.d == p.level
         assert p.level <= cfg.d_max - 1
-        # midpoint lives exactly one level finer
-        assert p.r.d == p.level + 1
-        assert p.r.value == 0.5 * (p.s_value + p.t_value)
+        # adjacent on level d, so the midpoint lives exactly on grid d + 1
+        mid = GridTime(p.s.k + p.t.k, p.level + 1)
+        assert mid.value == 0.5 * (p.s_value + p.t_value)
+        assert mid.k % 2 == 1
     assert seen_sd > 0
 
 
@@ -71,7 +72,6 @@ def test_lsd_esd_pairs_ordered_same_level(setting):
         seen_sd += 1
         assert p.s.d == p.t.d == p.level
         assert p.s.k < p.t.k
-        assert p.r is None
     assert seen_sd > 0
 
 
