@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .data import DegradeOpts, dump_corpus, save_pgm
 from .nets import COND_NAMES
-from .oracle import GaussianTask, check_identity
+from .oracle import IDENTITIES, GaussianTask, check_identity
 from .runtime import (Gaussian2DTask, PhasePlan, SamplerConfig, TASKS,
                       TextureSRTask, TrainAbort, evaluate_gaussian, evaluate_sr,
                       load_model, sample, save_result, train)
@@ -175,8 +175,7 @@ def _cmd_oracle_check(args) -> int:
     task = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
                         sigma0=0.6, sigma1=1.2)
     rng = np.random.default_rng(args.seed)
-    settings = ["lsd", "esd", "ssd", "semigroup"] if args.setting == "all" \
-        else [args.setting]
+    settings = IDENTITIES if args.setting == "all" else [args.setting]
     worst = 0.0
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir is not None:
@@ -232,8 +231,7 @@ def build_parser() -> _Parser:
         ps.set_defaults(fn=fn)
 
     po = sub.add_parser("oracle-check", help="analytic identity residuals")
-    po.add_argument("--setting", choices=["lsd", "esd", "ssd", "semigroup", "all"],
-                    default="all")
+    po.add_argument("--setting", choices=[*IDENTITIES, "all"], default="all")
     po.add_argument("--probes", type=int, default=100)
     po.add_argument("--out", default=None)
     po.add_argument("--seed", type=int, default=0)

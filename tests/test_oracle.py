@@ -1,13 +1,17 @@
 """Analytic Gaussian flow oracle: velocity field, RK4 map, identity checks."""
 
+import re
+
 import numpy as np
 import pytest
 
-from flowmaplab.oracle import (GaussianTask, average_velocity_oracle, check_identity,
-                               gaussian_flow_map, gaussian_velocity, integrate_flow)
+from flowmaplab import oracle
+from flowmaplab.oracle import (GaussianTask, _gaussian_rk4, average_velocity_oracle,
+                               check_identity, gaussian_flow_map, gaussian_velocity,
+                               integrate_flow)
 
-TASK = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
-                    sigma0=0.6, sigma1=1.2)
+GOOD = dict(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]), sigma0=0.6, sigma1=1.2)
+TASK = GaussianTask(**GOOD)
 
 
 def _probes(n, seed=0):
@@ -135,3 +139,72 @@ def test_nonfinite_integration_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
             integrate_flow(blow_up, np.ones(2), 0.0, 1.0, n_steps=64)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("sigma0", float("nan")), ("sigma0", 0.0), ("sigma1", -1.2), ("sigma1", float("inf")),
+    ("mu0", np.array([1.0])), ("mu1", np.array([-1.0, 1.0, 0.0])),
+    ("mu0", np.array([np.nan, -1.0])), ("mu1", np.array([-1.0, np.inf])),
+    ("mu0", np.zeros((1, 2))), ("mu1", 1.0),
+])
+def test_task_refuses_bad_parameter_by_name(name, value):
+    with pytest.raises(ValueError, match=name):
+        GaussianTask(**{**GOOD, name: value})
+
+
+@pytest.mark.parametrize("setting,bad,message", [
+    ("bogus", None, r"^unknown setting 'bogus'"),
+    ("ssd", "none", r"^no probes to check$"),
+    ("semigroup", (0.5, 0.2, 0.6), r"^probe x must be finite of shape \(2,\)"),
+    ("lsd", (np.zeros(3), 0.2, 0.6), r"^probe x must be finite of shape \(2,\)"),
+    ("esd", (np.zeros((1, 2)), 0.2, 0.6), r"^probe x must be finite of shape \(2,\)"),
+    ("ssd", (np.array([0.0, np.nan]), 0.2, 0.6), r"^probe x must be finite of shape \(2,\)"),
+    ("lsd", (np.zeros(2), 0.6, 0.6), r"^probes need s < t$"),
+    ("semigroup", (np.zeros(2), -1e-9, 0.6), r"^t outside \[0, 1\]$"),
+    ("esd", (np.zeros(2), 0.2, 1.0 + 1e-9), r"^t outside \[0, 1\]$"),
+])
+def test_identity_check_refuses_bad_input_before_any_probe(monkeypatch, setting, bad, message):
+    def ran(*args, **kwargs):
+        raise AssertionError("a probe ran")
+    for name in ("gaussian_velocity", "gaussian_flow_map", "_gaussian_rk4"):
+        monkeypatch.setattr(oracle, name, ran)
+    # a good probe first: the refusal must come before it runs
+    probes = [] if bad == "none" else [(np.zeros(2), 0.2, 0.6)] + ([bad] if bad else [])
+    with pytest.raises(ValueError, match=message):
+        check_identity(setting, TASK, probes)
+
+
+def _reference(task, x, t_from, t_to, n_steps):
+    return integrate_flow(lambda y, r: gaussian_velocity(task, y, r), x, t_from, t_to, n_steps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [1, 7, 64, 512])
+def test_gaussian_rk4_equals_reference_bit_for_bit(d, n_steps):
+    # 12 cases x 17 seeded intervals = 204, each solved in both directions
+    rng = np.random.default_rng(100 * d + n_steps)
+    task = GaussianTask(mu0=rng.normal(size=d), mu1=rng.normal(size=d),
+                        sigma0=float(rng.uniform(0.2, 2.0)), sigma1=float(rng.uniform(0.2, 2.0)))
+    intervals = [(0.0, 1.0), (0.0, float(rng.uniform(0.05, 1.0))),
+                 (float(rng.uniform(0.0, 0.95)), 1.0)]
+    while len(intervals) < 17:
+        s = float(rng.uniform(0.0, 0.95))
+        intervals.append((s, float(rng.uniform(s + 0.01, 1.0))))
+    for s, t in intervals:
+        x = rng.normal(0.0, 1.5, size=d)
+        for t_from, t_to in ((t, s), (s, t)):
+            got = _gaussian_rk4(task, x, t_from, t_to, n_steps)
+            assert got.tobytes() == _reference(task, x, t_from, t_to, n_steps).tobytes()
+
+
+@pytest.mark.parametrize("x0,t_from,t_to,n_steps", [
+    (0.0, -1e-9, 0.5, 8), (0.0, 0.5, 1.0 + 1e-9, 8), (0.0, 0.2, 0.5, 0),
+    (1e308, 0.0, 1.0, 512), (1e308, 1.0, 0.0, 512), (5e307, 0.2, 0.9, 64),
+])
+def test_gaussian_rk4_fails_like_the_reference(x0, t_from, t_to, n_steps):
+    x = np.array([x0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((ValueError, FloatingPointError)) as want:
+            _reference(TASK, x, t_from, t_to, n_steps)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        _gaussian_rk4(TASK, x, t_from, t_to, n_steps)

@@ -7,8 +7,10 @@ bytes followed by its `save_result` checkpoint bytes, and the model's
 `eval_count` after `train`, under two `#` lines naming the numpy and BLAS
 builds, since another build may round differently.  Run it on two checkouts
 and `diff` the outputs; equal lines mean byte-identical training.
-`tools/hashset.txt` is the committed output, and `tests/test_hashset.py`
-holds the running code to it.
+The last line is the Gaussian oracle: the sha256 of the float64
+`check_identity` residuals for lsd, esd, ssd and semigroup on a fixed probe
+set, and the number of residuals.  `tools/hashset.txt` is the committed
+output, and `tests/test_hashset.py` holds the running code to it.
 
 The runs:
   * 18 adapter-free tiny runs (`adv_steps = d_pretrain_steps = 0`) and the
@@ -19,6 +21,9 @@ The runs:
   * two runs at the default model size (hidden 256, depth 4, batch 256),
     fm 2, fmsd 2, cfg 2, d-pretrain 1, adv 2, seed 5: gaussian2d lsd and
     texture_sr size 16 ssd.
+  * the oracle probes: 12 seeded interior intervals and the end intervals
+    [0, 0.5], [0.5, 1] and [0, 1], on the asymmetric Gaussian task of the
+    acceptance tests.
 BLAS is pinned to one thread; the whole set takes a few seconds.
 """
 
@@ -38,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from flowmaplab.oracle import GaussianTask, check_identity  # noqa: E402
 from flowmaplab.runtime import (Gaussian2DTask, PhasePlan, TextureSRTask,  # noqa: E402
                                 Toy2DTask, save_result, train)
 
@@ -75,6 +81,22 @@ def digest(task_key: str, plan: PhasePlan, seed: int, tmp: Path) -> tuple[str, i
     return hashlib.sha256(blob).hexdigest(), res.model.eval_count
 
 
+def oracle_digest() -> tuple[str, int]:
+    """sha256 of the identity residuals on the fixed probe set, and their number."""
+    task = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
+                        sigma0=0.6, sigma1=1.2)
+    rng = np.random.default_rng(0)
+    probes = []
+    for _ in range(12):
+        x = rng.normal(0.0, 1.5, size=2)
+        s = float(rng.uniform(0.0, 0.85))
+        probes.append((x, s, float(rng.uniform(s + 0.05, 1.0))))
+    probes += [(np.array([0.5, -0.25]), s, t) for s, t in ((0.0, 0.5), (0.5, 1.0), (0.0, 1.0))]
+    res = np.array([r for setting in ("lsd", "esd", "ssd", "semigroup")
+                    for r in check_identity(setting, task, probes).residuals], dtype=np.float64)
+    return hashlib.sha256(res.tobytes()).hexdigest(), res.size
+
+
 def header() -> list[str]:
     """The numpy and BLAS builds that the set depends on."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -88,6 +110,8 @@ def main() -> None:
         for name, task_key, plan, seed in runs():
             sha, evals = digest(task_key, plan, seed, Path(tmp))
             print(f"{name:<20} {sha} {evals}", flush=True)
+    sha, n = oracle_digest()
+    print(f"{'oracle identities':<20} {sha} {n}", flush=True)
 
 
 if __name__ == "__main__":
