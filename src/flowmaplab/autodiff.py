@@ -139,80 +139,60 @@ def _pointwise(a: Tensor, data, slope) -> Tensor:
     return _make(data, tangent, (a,), lambda g: (g * (slope() if s is None else s),))
 
 
+def _binary(a: Tensor, b: Tensor, data, da, db) -> Tensor:
+    """Output ``data`` of an op linear in a perturbation of each operand,
+    by ``da`` of a's and ``db`` of b's: the tangent is da(a.tangent) +
+    db(b.tangent) over the operands that carry one, always a fresh array of
+    the output's shape, and the cotangents are da(g) and db(g), each summed
+    back to its operand's shape."""
+    tangent = None
+    for x, d in ((a, da), (b, db)):
+        if x.tangent is not None:
+            term = d(x.tangent)
+            tangent = term if tangent is None else tangent + term
+    if tangent is not None and (tangent.shape != data.shape
+                                or tangent is a.tangent or tangent is b.tangent):
+        tangent = np.broadcast_to(tangent, data.shape).copy()
+    return _make(data, tangent, (a, b), lambda g: (
+        _unbroadcast(da(g), a.shape) if a.in_graph else None,
+        _unbroadcast(db(g), b.shape) if b.in_graph else None))
+
+
+def _same(x):
+    return x
+
+
 # -- elementary ops -------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-    ta, tb = a.tangent, b.tangent
-    tangent = None
-    if ta is not None or tb is not None:
-        tangent = np.broadcast_to(0.0 if ta is None else ta, data.shape) \
-            + np.broadcast_to(0.0 if tb is None else tb, data.shape)
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if a.in_graph else None,
-                _unbroadcast(g, b.shape) if b.in_graph else None)
-
-    return _make(data, tangent, (a, b), backward)
+    return _binary(a, b, a.data + b.data, _same, _same)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-    ta, tb = a.tangent, b.tangent
-    tangent = None
-    if ta is not None or tb is not None:
-        tangent = np.broadcast_to(0.0 if ta is None else ta, data.shape) \
-            - np.broadcast_to(0.0 if tb is None else tb, data.shape)
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if a.in_graph else None,
-                _unbroadcast(-g, b.shape) if b.in_graph else None)
-
-    return _make(data, tangent, (a, b), backward)
+    return _binary(a, b, a.data - b.data, _same, np.negative)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    ta, tb = a.tangent, b.tangent
-    tangent = None
-    if ta is not None or tb is not None:
-        tangent = np.zeros(data.shape)
-        if ta is not None:
-            tangent = tangent + ta * b.data
-        if tb is not None:
-            tangent = tangent + a.data * tb
-
-    def backward(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.in_graph else None,
-                _unbroadcast(g * a.data, b.shape) if b.in_graph else None)
-
-    return _make(data, tangent, (a, b), backward)
+    return _binary(a, b, a.data * b.data, lambda x: x * b.data, lambda x: a.data * x)
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data @ b.data
-    ta, tb = a.tangent, b.tangent
-    tangent = None
-    if ta is not None or tb is not None:
-        tangent = np.zeros(data.shape)
-        if ta is not None:
-            tangent = tangent + ta @ b.data
-        if tb is not None:
-            tangent = tangent + a.data @ tb
+    tangent = None if a.tangent is None else a.tangent @ b.data
+    if b.tangent is not None:
+        tangent = a.data @ b.tangent if tangent is None else tangent + a.data @ b.tangent
 
     def backward(g):
         ga = gb = None
         if a.in_graph:
-            ga = g @ b.data.T if b.data.ndim == 2 else np.outer(g, b.data)
-            ga = _unbroadcast(np.atleast_1d(ga).reshape(a.shape) if ga.shape != a.shape else ga, a.shape)
+            ga = (g @ b.data.T if b.data.ndim == 2 else np.outer(g, b.data)).reshape(a.shape)
         if b.in_graph:
-            gb = a.data.T @ g if a.data.ndim == 2 else np.outer(a.data, g)
-            gb = _unbroadcast(gb.reshape(b.shape) if gb.shape != b.shape else gb, b.shape)
+            gb = (a.data.T @ g if a.data.ndim == 2 else np.outer(a.data, g)).reshape(b.shape)
         return ga, gb
 
     return _make(data, tangent, (a, b), backward)

@@ -37,7 +37,6 @@ class DegradeOpts:
 class PairBatch:
     x0: np.ndarray                   # (n, d) targets
     x1: np.ndarray                   # (n, d) sources, same shape
-    cond: np.ndarray | None = None   # per-item condition ids
     s_down: np.ndarray | None = None
     x0_neg: np.ndarray | None = None
 
@@ -79,8 +78,9 @@ def gen_toy2d(n: int, kind: str, rng: np.random.Generator,
 def gaussian_pair(n: int, mu0, sigma0: float, mu1, sigma1: float,
                   rng: np.random.Generator) -> PairBatch:
     """Independent Gaussian endpoints, the analytic-oracle coupling."""
-    if sigma0 <= 0 or sigma1 <= 0:
-        raise ValueError("sigmas must be positive")
+    for name, sigma in (("sigma0", sigma0), ("sigma1", sigma1)):
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {sigma!r}")
     mu0, mu1 = np.asarray(mu0, dtype=np.float64), np.asarray(mu1, dtype=np.float64)
     d = mu0.shape[0]
     x0 = mu0 + sigma0 * rng.standard_normal((n, d))

@@ -187,35 +187,21 @@ def perceptual_weight(s: float) -> float:
     return 5.0 * float(np.exp(-4.0 * s))
 
 
-def _pool_indices(d: int, image_hw: tuple | None):
-    """Flat index groups for a 2x average pool (pairs for vector states)."""
-    if image_hw is not None:
-        h, w = image_hw
-        if h * w != d or h % 2 or w % 2:
-            raise ValueError("image_hw inconsistent with the state dimension")
-        grid = np.arange(d).reshape(h, w)
-        blocks = grid.reshape(h // 2, 2, w // 2, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
-        return blocks
-    n_pairs = d // 2
-    idx = np.arange(2 * n_pairs).reshape(n_pairs, 2)
-    return idx
-
-
 def perceptual_reg(x0_hat: Tensor, x0: np.ndarray, s: float,
                    image_hw: tuple | None = None) -> Tensor:
-    """Weighted low-pass surrogate: (pooled MSE + MAE) / 2, scaled by the
-    time-decaying weight.  ``x0_hat`` keeps its tape history."""
-    lam = perceptual_weight(s)
+    """Weighted low-pass surrogate on flattened images of shape ``image_hw``:
+    (MSE of the 2x2-pooled images + MAE) / 2, scaled by the time-decaying
+    weight.  ``x0_hat`` keeps its tape history."""
     target = np.asarray(x0, dtype=np.float64)
     d = target.shape[-1]
-    blocks = _pool_indices(d, image_hw)
-    k = blocks.shape[1]
+    if image_hw is None or image_hw[0] * image_hw[1] != d or image_hw[0] % 2 or image_hw[1] % 2:
+        raise ValueError(f"image_hw {image_hw} does not tile a state of dimension {d} "
+                         "into 2x2 blocks")
+    h, w = image_hw
+    # flat indices of each 2x2 block, one block a row
+    blocks = np.arange(d).reshape(h // 2, 2, w // 2, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
 
-    cols_pred = [x0_hat[(slice(None), blocks[:, j])] for j in range(k)]
-    pooled_pred = cols_pred[0]
-    for cp in cols_pred[1:]:
-        pooled_pred = ad.add(pooled_pred, cp)
-    pooled_pred = ad.mul(pooled_pred, 1.0 / k)
+    pooled_pred = ad.mean(x0_hat[(slice(None), blocks)], axis=2)
     pooled_tgt = target[:, blocks].mean(axis=2)
     pooled_mse = ad.mean(ad.square(ad.sub(pooled_pred, Tensor(pooled_tgt))))
 
@@ -223,8 +209,7 @@ def perceptual_reg(x0_hat: Tensor, x0: np.ndarray, s: float,
     sign = Tensor(np.sign(diff.data))  # constant factor: |x| = x * sign(x)
     mae = ad.mean(ad.mul(diff, sign))
 
-    half = ad.mul(ad.add(pooled_mse, mae), 0.5)
-    return ad.mul(half, lam)
+    return ad.mul(ad.add(pooled_mse, mae), 0.5 * perceptual_weight(s))
 
 
 # -- combined dispatch ----------------------------------------------------
@@ -241,8 +226,11 @@ def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
     weighted_total = exp(-lambda) * (main + perceptual) + lambda, with
     gradients reaching both the model and the weighting head.  No guidance
     context means ``PLAIN``.  A dropped context swaps in the degraded
-    negative target when provided.
+    negative target when provided.  The perceptual term needs ``image_hw``.
     """
+    if use_perceptual and image_hw is None:
+        raise ValueError("use_perceptual needs image_hw: the perceptual term pools "
+                         "2x2 image blocks, which a vector state does not have")
     s, t = pair.s_value, pair.t_value
     ctx = PLAIN if ctx is None else ctx
     if ctx.dropped and x0_neg is not None:
@@ -272,14 +260,13 @@ def combined_loss(model, weightnet, x0: np.ndarray, x1: np.ndarray,
 # -- adversarial pair -----------------------------------------------------
 
 
-def two_step_prediction(model, x1: np.ndarray, cond: int,
-                        lora_scale: float | None = None) -> Tensor:
+def two_step_prediction(model, x1: np.ndarray, cond: int) -> Tensor:
     """x1 -> t=1/2 -> t=0 under the flow-map update; the midpoint state is
     detached, so the top half-step records no tape."""
     with ad.no_grad():
-        u_top = model(x1, 0.5, 1.0, cond, lora_scale=lora_scale)
+        u_top = model(x1, 0.5, 1.0, cond)
     x_half = np.asarray(x1, dtype=np.float64) - 0.5 * u_top.data
-    u_bot = model(x_half, 0.0, 0.5, cond, lora_scale=lora_scale)
+    u_bot = model(x_half, 0.0, 0.5, cond)
     return ad.sub(Tensor(x_half), ad.mul(u_bot, 0.5))
 
 

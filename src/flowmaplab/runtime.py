@@ -22,6 +22,7 @@ from .io import load_checkpoint, save_checkpoint
 from .losses import (GuidanceContext, combined_loss, disc_loss, draw_guidance, fm_loss,
                      rpgan_losses, two_step_prediction)
 from .nets import COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet
+from .oracle import GaussianTask
 from .schedule import GridConfig, SETTINGS, SSD, fm_pair, sample_pair
 
 METRICS_HEADER = ["step", "phase", "loss_main", "loss_perc", "loss_weighted",
@@ -116,10 +117,9 @@ class Gaussian2DTask:
 
     def __init__(self, mu0=(1.0, -1.0), sigma0=0.6, mu1=(-1.0, 1.0), sigma1=1.2,
                  neg_noise: float = 0.3):
-        self.mu0 = np.asarray(mu0, dtype=np.float64)
-        self.mu1 = np.asarray(mu1, dtype=np.float64)
-        self.sigma0 = float(sigma0)
-        self.sigma1 = float(sigma1)
+        # the oracle's task is the one validator: it names a bad field
+        g = GaussianTask(mu0=mu0, mu1=mu1, sigma0=sigma0, sigma1=sigma1)
+        self.mu0, self.mu1, self.sigma0, self.sigma1 = g.mu0, g.mu1, g.sigma0, g.sigma1
         self.neg_noise = neg_noise
         self.state_dim = self.mu0.shape[0]
 
@@ -280,6 +280,16 @@ def _check_plan(plan: PhasePlan) -> None:
     if plan.setting not in SETTINGS:
         raise ValueError(f"setting must be one of {', '.join(SETTINGS)}, "
                          f"got {plan.setting!r}")
+    for name in ("lr_model", "lr_weightnet", "lr_disc"):
+        if not (math.isfinite(getattr(plan, name)) and getattr(plan, name) > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {getattr(plan, name)}")
+    for name in ("drop_prob", "lr_floor"):
+        if not 0.0 <= getattr(plan, name) <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {getattr(plan, name)}")
+    if not (math.isfinite(plan.w_max) and plan.w_max >= 1.0):
+        raise ValueError(f"w_max must be finite and >= 1, got {plan.w_max}")
+    if not (math.isfinite(plan.lambda_adv) and plan.lambda_adv >= 0.0):
+        raise ValueError(f"lambda_adv must be finite and >= 0, got {plan.lambda_adv}")
 
 
 def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
@@ -461,11 +471,11 @@ def checkpoint_tensors(result: TrainResult) -> dict:
     return tensors
 
 
-def save_result(path, result: TrainResult, task_name: str, phase: str = "done") -> None:
+def save_result(path, result: TrainResult, task_name: str) -> None:
     meta = {
         "task": task_name,
         "schedule": STANDARD,
-        "phase": phase,
+        "phase": "done",
         "setting": result.plan.setting,
         "state_dim": result.model.state_dim,
         "hidden": result.model.hidden,

@@ -1,6 +1,7 @@
 """Reverse-mode gradients and forward-mode tangents against finite differences."""
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -86,6 +87,23 @@ class TestElementaryGrads:
         y = a0 @ b0
         np.testing.assert_allclose(g["a"], 2 * y @ b0.T, rtol=1e-12)
         np.testing.assert_allclose(g["b"], 2 * a0.T @ y, rtol=1e-12)
+
+    @pytest.mark.parametrize("sa,sb,want", [
+        ((5,), (5, 2), lambda a, b, c: (b @ c, np.outer(a, c))),
+        ((3, 5), (5,), lambda a, b, c: (np.outer(c, b), a.T @ c)),
+        ((5,), (5,), lambda a, b, c: (c * b, c * a)),
+    ], ids=["vector-matrix", "matrix-vector", "vector-vector"])
+    def test_matmul_vector_operands(self, sa, sb, want):
+        # loss = sum(c * (a @ b)), so the cotangent of a @ b is c
+        rng = np.random.default_rng(9)
+        a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
+        c = rng.normal(size=np.shape(a0 @ b0))
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        g = ad.grad(ad.sum_(ad.mul(ad.matmul(a, b), c)), {"a": a, "b": b})
+        want_a, want_b = want(a0, b0, c)
+        assert g["a"].shape == sa and g["b"].shape == sb
+        np.testing.assert_allclose(g["a"], want_a, rtol=1e-12)
+        np.testing.assert_allclose(g["b"], want_b, rtol=1e-12)
 
     def test_mean_axis_and_sum_axis(self):
         rng = np.random.default_rng(5)
@@ -184,6 +202,32 @@ class TestForwardMode:
         _, tang = ad.jvp(lambda x: f(x, Tensor(0.0, tangent=0.0), Tensor(0.5, tangent=1.0)),
                          Tensor(x0), dx)
         np.testing.assert_allclose(tang.data, 2 * x0 * dx * 0.5 + x0 ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("which", ["a", "b", "both"])
+    @pytest.mark.parametrize("name", ["add", "sub", "mul"])
+    def test_binary_tangent_under_broadcasting(self, name, which):
+        # tangent = da * d(out)/da + db * d(out)/db, a fresh writable array of
+        # the output's shape that shares no memory with an operand's tangent
+        rng = np.random.default_rng(8)
+        shapes = [(), (4,), (3, 1), (3, 4)]
+        partials = {"add": lambda a, b: (1.0, 1.0), "sub": lambda a, b: (1.0, -1.0),
+                    "mul": lambda a, b: (b, a)}[name]
+        for sa, sb in itertools.product(shapes, shapes):
+            a0, b0, da, db = (rng.normal(size=sh) for sh in (sa, sb, sa, sb))
+            a = Tensor(a0, tangent=da if which != "b" else None)
+            b = Tensor(b0, tangent=db if which != "a" else None)
+            out = getattr(ad, name)(a, b)
+            pa, pb = partials(a0, b0)
+            want = np.zeros(out.shape)
+            if which != "b":
+                want = want + da * pa
+            if which != "a":
+                want = want + db * pb
+            assert out.tangent.shape == out.shape, (sa, sb)
+            np.testing.assert_allclose(out.tangent, want, rtol=1e-15, err_msg=str((sa, sb)))
+            assert out.tangent.flags.writeable
+            for t in (a.tangent, b.tangent):
+                assert t is None or not np.shares_memory(out.tangent, t), (sa, sb)
 
 
 

@@ -220,6 +220,11 @@ class TestExitCodes:
         (TINY_CFG.replace("fm_steps = 4", "fm_steps = -3"), "fm_steps"),
         (TINY_CFG.replace("batch_size = 8", "batch_size = 0"), "batch_size"),
         (TINY_CFG + "lora_rank = 0\n", "lora_rank"),
+        (TINY_CFG + "drop_prob = 1.5\n", "drop_prob"),
+        (TINY_CFG + "w_max = 0.5\n", "w_max"),
+        (TINY_CFG + "lr_floor = -1\n", "lr_floor"),
+        (TINY_CFG + "lambda_adv = -2\n", "lambda_adv"),
+        (TINY_CFG + "lr_disc = 0\n", "lr_disc"),
     ])
     def test_unrunnable_plan_is_one(self, tmp_path, capsys, cfg_text, field):
         cfg = tmp_path / "cfg.ini"

@@ -202,6 +202,17 @@ def test_gaussian_pair_moments():
     np.testing.assert_allclose(b.x1.std(axis=0), 2.0, atol=0.05)
 
 
+@pytest.mark.parametrize("sigma0,sigma1,field", [
+    (float("nan"), 1.0, "sigma0"),
+    (0.0, 1.0, "sigma0"),
+    (1.0, float("inf"), "sigma1"),
+    (1.0, -2.0, "sigma1"),
+])
+def test_gaussian_pair_refuses_bad_sigma(sigma0, sigma1, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        gaussian_pair(3, (1.0, 1.0), sigma0, (0.0, 1.0), sigma1, np.random.default_rng(0))
+
+
 def test_texture_range_and_sizes():
     for size in (8, 16, 32):
         imgs = gen_texture(5, size, np.random.default_rng(2))

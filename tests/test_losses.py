@@ -349,16 +349,34 @@ class TestPerceptual:
         x0 = rng.normal(size=(2, 8))
         pred0 = x0 + 0.2 * rng.normal(size=(2, 8))
         pred = Tensor(pred0.copy(), requires_grad=True)
-        reg = perceptual_reg(pred, x0, 0.5)
+        reg = perceptual_reg(pred, x0, 0.5, image_hw=(2, 4))
         g = ad.grad(reg, {"p": pred})["p"]
         h = 1e-6
         for idx in [(0, 0), (1, 3), (0, 7)]:
             pp, pm = pred0.copy(), pred0.copy()
             pp[idx] += h
             pm[idx] -= h
-            fd = (perceptual_reg(Tensor(pp), x0, 0.5).item()
-                  - perceptual_reg(Tensor(pm), x0, 0.5).item()) / (2 * h)
+            fd = (perceptual_reg(Tensor(pp), x0, 0.5, image_hw=(2, 4)).item()
+                  - perceptual_reg(Tensor(pm), x0, 0.5, image_hw=(2, 4)).item()) / (2 * h)
             np.testing.assert_allclose(g[idx], fd, rtol=1e-6, atol=1e-9)
+
+    def test_ten_tape_nodes(self, monkeypatch):
+        # one gather and one mean pool the 2x2 blocks, and one mul scales;
+        # four column slices, three adds and a 1/k mul made 17 nodes
+        rng = np.random.default_rng(22)
+        x0 = rng.normal(size=(3, 16))
+        made = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *a: made.append(1) or make(*a))
+        reg = perceptual_reg(Tensor(x0 + 0.1, requires_grad=True), x0, 0.2, image_hw=(4, 4))
+        assert reg.in_graph
+        assert len(made) <= 10
+
+    @pytest.mark.parametrize("image_hw", [None, (3, 2), (2, 3), (4, 2)])
+    def test_refuses_a_state_it_cannot_pool(self, image_hw):
+        x0 = np.zeros((2, 6))
+        with pytest.raises(ValueError, match="image_hw"):
+            perceptual_reg(Tensor(x0), x0, 0.5, image_hw=image_hw)
 
 
 class TestCombinedLoss:
@@ -390,6 +408,13 @@ class TestCombinedLoss:
         br = combined_loss(model, wn, x0, x1, pair, SSD, use_perceptual=False)
         expected = np.exp(-0.7) * br.main.item() + 0.7
         np.testing.assert_allclose(br.weighted_total.item(), expected, rtol=1e-12)
+
+    def test_perceptual_term_needs_image_hw(self):
+        model, wn, x0, x1 = self._setup(28)
+        before = model.eval_count
+        with pytest.raises(ValueError, match="use_perceptual needs image_hw"):
+            combined_loss(model, wn, x0, x1, _pair(1, 3, 2), SSD)
+        assert model.eval_count == before
 
     def test_dropped_context_swaps_negative_data(self):
         model, wn, x0, x1 = self._setup(27)

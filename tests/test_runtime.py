@@ -76,10 +76,40 @@ class TestTrainLoop:
         (dict(batch_size=0), "batch_size"),
         (dict(lora_rank=0), "lora_rank"),
         (dict(setting="bogus", fmsd_steps=0, cfg_steps=0, adv_steps=0), "setting"),
+        (dict(drop_prob=float("nan")), "drop_prob"),
+        (dict(drop_prob=1.5), "drop_prob"),
+        (dict(drop_prob=-0.1), "drop_prob"),
+        (dict(w_max=0.5), "w_max"),
+        (dict(w_max=float("inf")), "w_max"),
+        (dict(lr_floor=-1.0), "lr_floor"),
+        (dict(lr_floor=1.5), "lr_floor"),
+        (dict(lambda_adv=-2.0), "lambda_adv"),
+        (dict(lambda_adv=float("nan")), "lambda_adv"),
+        (dict(lr_model=0.0), "lr_model"),
+        (dict(lr_model=float("inf")), "lr_model"),
+        (dict(lr_weightnet=-1e-4), "lr_weightnet"),
+        (dict(lr_weightnet=float("nan")), "lr_weightnet"),
+        (dict(lr_disc=0.0), "lr_disc"),
+        (dict(lr_disc=float("inf")), "lr_disc"),
     ])
-    def test_refuses_plans_it_cannot_run(self, over, field):
+    def test_refuses_plans_it_cannot_run(self, over, field, monkeypatch):
+        # refused before the first batch draw, so no phase runs first
+        drawn = []
+        monkeypatch.setattr(Gaussian2DTask, "sample", lambda *a, **k: drawn.append(1))
         with pytest.raises(ValueError, match=field):
             train(tiny_plan(**over), Gaussian2DTask(), seed=0)
+        assert drawn == []
+
+    @pytest.mark.parametrize("over,field", [
+        (dict(sigma0=float("nan")), "sigma0"),
+        (dict(sigma1=float("inf")), "sigma1"),
+        (dict(sigma0=0.0), "sigma0"),
+        (dict(mu0=(1.0, float("nan"))), "mu0"),
+        (dict(mu1=(0.0, 1.0, 2.0)), "mu0 and mu1"),
+    ])
+    def test_gaussian_task_refuses_bad_parameter_by_name(self, over, field):
+        with pytest.raises(ValueError, match=field):
+            Gaussian2DTask(**over)
 
     def test_no_adapter_rank_needed_without_adversarial_steps(self):
         res = train(tiny_plan(lora_rank=0, adv_steps=0), Gaussian2DTask(), seed=0)
