@@ -96,6 +96,19 @@ def lora_effective_weight(W: Tensor, adapter: LowRankAdapter, gamma: float) -> T
     return ad.add(W, ad.mul(ad.matmul(adapter.B, adapter.A), gamma))
 
 
+def check_sizes(hidden: int, depth: int, time_dim: int, cond_dim: int) -> None:
+    """Refuse, naming the field, a trunk size that ``FlowMapModel`` cannot build:
+    ``depth = -1`` would loop over no layer and be the identity field."""
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if time_dim < 2 or time_dim % 2:
+        raise ValueError(f"time_dim must be even and >= 2, got {time_dim}")
+    if cond_dim < 0:
+        raise ValueError(f"cond_dim must be >= 0, got {cond_dim}")
+
+
 class FlowMapModel:
     """MLP parameterization of the conditional average velocity u_{s,t}(x|c).
 
@@ -107,6 +120,7 @@ class FlowMapModel:
     def __init__(self, state_dim: int, hidden: int = 256, depth: int = 4,
                  time_dim: int = 32, cond_dim: int = 16,
                  rng: np.random.Generator | None = None):
+        check_sizes(hidden=hidden, depth=depth, time_dim=time_dim, cond_dim=cond_dim)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.state_dim = state_dim
         self.hidden = hidden

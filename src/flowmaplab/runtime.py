@@ -21,7 +21,8 @@ from .interpolant import STANDARD
 from .io import load_checkpoint, save_checkpoint
 from .losses import (GuidanceContext, combined_loss, disc_loss, draw_guidance, fm_loss,
                      rpgan_losses, two_step_prediction)
-from .nets import COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet
+from .nets import (COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet,
+                   check_sizes)
 from .oracle import GaussianTask
 from .schedule import GridConfig, SETTINGS, SSD, fm_pair, sample_pair
 
@@ -290,6 +291,10 @@ def _check_plan(plan: PhasePlan) -> None:
         raise ValueError(f"w_max must be finite and >= 1, got {plan.w_max}")
     if not (math.isfinite(plan.lambda_adv) and plan.lambda_adv >= 0.0):
         raise ValueError(f"lambda_adv must be finite and >= 0, got {plan.lambda_adv}")
+    if not math.isfinite(plan.lora_train_scale):
+        raise ValueError(f"lora_train_scale must be finite, got {plan.lora_train_scale}")
+    check_sizes(hidden=plan.hidden, depth=plan.depth, time_dim=plan.time_dim,
+                cond_dim=plan.cond_dim)
 
 
 def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:

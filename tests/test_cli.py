@@ -225,6 +225,11 @@ class TestExitCodes:
         (TINY_CFG + "lr_floor = -1\n", "lr_floor"),
         (TINY_CFG + "lambda_adv = -2\n", "lambda_adv"),
         (TINY_CFG + "lr_disc = 0\n", "lr_disc"),
+        (TINY_CFG.replace("hidden = 16", "hidden = 0"), "hidden"),
+        (TINY_CFG.replace("depth = 2", "depth = -1"), "depth"),
+        (TINY_CFG.replace("time_dim = 8", "time_dim = 3"), "time_dim"),
+        (TINY_CFG.replace("cond_dim = 4", "cond_dim = -1"), "cond_dim"),
+        (TINY_CFG + "lora_train_scale = nan\n", "lora_train_scale"),
     ])
     def test_unrunnable_plan_is_one(self, tmp_path, capsys, cfg_text, field):
         cfg = tmp_path / "cfg.ini"

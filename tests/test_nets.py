@@ -84,6 +84,15 @@ class TestFlowMapModel:
         with pytest.raises(ValueError, match="records no backward"):
             model(np.zeros((2, 2)), 0.1, Tensor(0.9, requires_grad=True), COND_NULL)
 
+    @pytest.mark.parametrize("over,field", [
+        (dict(hidden=0), "hidden"), (dict(depth=-1), "depth"),
+        (dict(time_dim=0), "time_dim"), (dict(time_dim=3), "time_dim"),
+        (dict(cond_dim=-1), "cond_dim"),
+    ])
+    def test_refuses_sizes_it_cannot_build(self, over, field):
+        with pytest.raises(ValueError, match=field):
+            FlowMapModel(2, **{"hidden": 8, "depth": 1, "time_dim": 8, **over})
+
     def test_eval_count_increments(self):
         model = FlowMapModel(2, hidden=16, depth=1)
         before = model.eval_count

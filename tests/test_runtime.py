@@ -1,8 +1,14 @@
 """Trainer phases, optimizer, sampler, metrics, and persistence."""
 
 import gc
+import json
+import os
 import re
+import statistics
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +97,13 @@ class TestTrainLoop:
         (dict(lr_weightnet=float("nan")), "lr_weightnet"),
         (dict(lr_disc=0.0), "lr_disc"),
         (dict(lr_disc=float("inf")), "lr_disc"),
+        (dict(hidden=0), "hidden"),
+        (dict(depth=-1), "depth"),
+        (dict(time_dim=0), "time_dim"),
+        (dict(time_dim=3), "time_dim"),
+        (dict(cond_dim=-1), "cond_dim"),
+        (dict(lora_train_scale=float("nan")), "lora_train_scale"),
+        (dict(lora_train_scale=float("inf")), "lora_train_scale"),
     ])
     def test_refuses_plans_it_cannot_run(self, over, field, monkeypatch):
         # refused before the first batch draw, so no phase runs first
@@ -484,3 +497,28 @@ class TestPersistence:
         save_result(p1, train(tiny_plan(), Gaussian2DTask(), seed=0), "gaussian2d")
         save_result(p2, train(tiny_plan(), Gaussian2DTask(), seed=0), "gaussian2d")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy is glibc's mallopt")
+@pytest.mark.parametrize("setting", ["ssd", "lsd", "esd"])
+def test_adversarial_steps_reuse_the_heap(setting):
+    # Without the import-time heap policy glibc trims the tape an adversarial
+    # step grows the heap by and the next step faults ~10 MB (2,560 pages)
+    # back in; held, steps 3-6 fault about none.
+    pytest.importorskip("resource")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "step_faults.py"
+    proc = subprocess.run([sys.executable, str(tool), "--task", "gaussian2d",
+                           "--setting", setting, "--seed", "0", "--fm", "1", "--cfg", "1",
+                           "--dpre", "1", "--adv", "6"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    adv = json.loads(proc.stdout)["adv"]
+    assert adv["n"] == 6
+    assert statistics.median(adv["faults"][2:]) < 100, adv
