@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .data import DegradeOpts, dump_corpus, save_pgm
 from .nets import COND_NAMES
-from .oracle import IDENTITIES, GaussianTask, check_identity
-from .runtime import (Gaussian2DTask, PhasePlan, SamplerConfig, TASKS,
+from .oracle import IDENTITIES, check_identity
+from .runtime import (GAUSSIAN_2D, Gaussian2DTask, PhasePlan, SamplerConfig, TASKS,
                       TextureSRTask, TrainAbort, evaluate_gaussian, evaluate_sr,
                       load_model, sample, save_result, train)
 from .schedule import GridConfig
@@ -131,17 +131,14 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(task, TextureSRTask):
-        size = task.size
-        batch = task.sample(args.n, rng)
-        x0_hat = sample(model, batch.x1, cfg)[-1]
+    x1 = task.source_samples(args.n, rng)
+    x0_hat = sample(model, x1, cfg)[-1]
+    if task.image_hw is not None:
         for i in range(args.n):
-            save_pgm(out / f"input_{i:04d}.pgm", batch.x1[i].reshape(size, size))
+            save_pgm(out / f"input_{i:04d}.pgm", x1[i].reshape(task.image_hw))
             save_pgm(out / f"sample_{i:04d}.pgm",
-                     np.clip(x0_hat[i].reshape(size, size), -1.0, 1.0))
+                     np.clip(x0_hat[i].reshape(task.image_hw), -1.0, 1.0))
     else:
-        x1 = task.source_samples(args.n, rng)
-        x0_hat = sample(model, x1, cfg)[-1]
         np.savetxt(out / "samples.csv", x0_hat, delimiter=",",
                    header=",".join(f"x{i}" for i in range(x0_hat.shape[1])),
                    comments="")
@@ -172,8 +169,6 @@ def _cmd_eval(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.probes < 1:
         raise ValueError(f"--probes must be at least 1, got {args.probes}")
-    task = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
-                        sigma0=0.6, sigma1=1.2)
     rng = np.random.default_rng(args.seed)
     settings = IDENTITIES if args.setting == "all" else [args.setting]
     worst = 0.0
@@ -187,7 +182,7 @@ def _cmd_oracle_check(args) -> int:
             s = float(rng.uniform(0.0, 0.9))
             t = float(rng.uniform(s + 0.05, 1.0))
             probes.append((x, s, t))
-        report = check_identity(setting, task, probes)
+        report = check_identity(setting, GAUSSIAN_2D, probes)
         tol = 1e-5 if setting == "semigroup" else 1e-3
         status = "ok" if report.max_residual <= tol else "FAIL"
         print(f"{setting}: max residual {report.max_residual:.3e} "

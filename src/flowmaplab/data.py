@@ -16,18 +16,20 @@ from typing import NamedTuple
 import numpy as np
 
 
+BLUR_PROB = 0.8          # chance of the first blur
+NOISE_STD_MAX = 0.02     # gaussian noise branch: std ~ U(0, NOISE_STD_MAX)
+SHOT_NOISE_SCALE = 0.02  # intensity-scaled noise branch
+QUANT_LEVELS = 32        # the quantizer that stands in for compression
+
+
 @dataclass
 class DegradeOpts:
-    blur_prob: float = 0.8
-    noise_std_max: float = 0.02       # gaussian branch upper bound
-    shot_noise_scale: float = 0.02    # intensity-scaled branch
-    quant_levels: int = 32            # compression surrogate; 0 disables
+    """The resize modes a degradation draws from: training mixes both,
+    evaluation fixes bilinear."""
+
     interp_modes: tuple = ("nearest", "bilinear")
-    final_blur: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.blur_prob <= 1.0:
-            raise ValueError("blur_prob must lie in [0, 1]")
         if not self.interp_modes or not set(self.interp_modes) <= {"nearest", "bilinear"}:
             raise ValueError(f"interp_modes must name nearest and/or bilinear, "
                              f"got {self.interp_modes!r}")
@@ -44,15 +46,15 @@ class PairBatch:
         if self.x0.shape != self.x1.shape:
             raise ValueError("x0 and x1 must share a shape")
 
-    def __len__(self):
-        return self.x0.shape[0]
-
 
 # -- 2D toys --------------------------------------------------------------
 
 
-def gen_toy2d(n: int, kind: str, rng: np.random.Generator,
-              sigma: float = 0.4, contraction: float = 0.5) -> PairBatch:
+TOY_SIGMA = 0.4        # std of the noise on a toy source
+TOY_CONTRACTION = 0.5  # pull of a toy source toward the batch centre
+
+
+def gen_toy2d(n: int, kind: str, rng: np.random.Generator) -> PairBatch:
     """2D coupling: x1 is a contracted-plus-noised copy of x0."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -70,8 +72,8 @@ def gen_toy2d(n: int, kind: str, rng: np.random.Generator,
     else:
         raise ValueError(f"unknown 2D task {kind!r}")
     center = x0.mean(axis=0)
-    x1 = (1.0 - contraction) * x0 + contraction * center \
-        + sigma * rng.standard_normal((n, 2))
+    x1 = (1.0 - TOY_CONTRACTION) * x0 + TOY_CONTRACTION * center \
+        + TOY_SIGMA * rng.standard_normal((n, 2))
     return PairBatch(x0=x0, x1=x1)
 
 
@@ -230,23 +232,21 @@ def _blur(img: np.ndarray) -> np.ndarray:
             + tmp[..., 2:, :] * _BLUR_KERNEL[2])
 
 
-def _quantize(img: np.ndarray, levels: int) -> np.ndarray:
-    """Uniform quantization on [-1, 1]; the compression surrogate."""
-    if levels <= 1:
-        return img
-    scaled = (np.clip(img, -1.0, 1.0) + 1.0) / 2.0 * (levels - 1)
-    return np.round(scaled) / (levels - 1) * 2.0 - 1.0
+def _quantize(img: np.ndarray) -> np.ndarray:
+    """Uniform quantization on [-1, 1] to ``QUANT_LEVELS``; the compression
+    surrogate."""
+    scaled = (np.clip(img, -1.0, 1.0) + 1.0) / 2.0 * (QUANT_LEVELS - 1)
+    return np.round(scaled) / (QUANT_LEVELS - 1) * 2.0 - 1.0
 
 
 class _Degrade(NamedTuple):
     """The draws of one degradation: first blur, low-res size, resize
-    modes, and the noise (``std`` None selects the intensity-scaled branch,
-    ``noise`` None no noise)."""
+    modes, and the noise (``std`` None selects the intensity-scaled branch)."""
     blur: bool
     lo: int
     down: str
     std: float | None
-    noise: np.ndarray | None
+    noise: np.ndarray
     up: str
 
 
@@ -254,19 +254,16 @@ def _draw_degrade(size: int, s_down: float, opts: DegradeOpts,
                   rng: np.random.Generator) -> _Degrade:
     if not 0.0 < s_down <= 1.0:
         raise ValueError("s_down must lie in (0, 1]")
-    blur = opts.blur_prob > 0.0 and rng.random() < opts.blur_prob
+    blur = rng.random() < BLUR_PROB
     lo = max(1, int(round(size * s_down)))
     down = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
-    std = noise = None
-    if opts.noise_std_max > 0.0 or opts.shot_noise_scale > 0.0:
-        if rng.random() < 0.5:
-            std = _uniform(rng, 0.0, opts.noise_std_max)
-        noise = rng.standard_normal((lo, lo))
+    std = _uniform(rng, 0.0, NOISE_STD_MAX) if rng.random() < 0.5 else None
+    noise = rng.standard_normal((lo, lo))
     up = opts.interp_modes[int(rng.integers(0, len(opts.interp_modes)))]
     return _Degrade(blur, lo, down, std, noise, up)
 
 
-def _render_degrade(hrs: np.ndarray, jobs: list, opts: DegradeOpts) -> np.ndarray:
+def _render_degrade(hrs: np.ndarray, jobs: list) -> np.ndarray:
     """Blur -> downscale -> noise -> quantize -> resize-back -> blur -> clamp,
     one drawn degradation per job; job j degrades image j % n of the
     (n, h, w) stack ``hrs``.
@@ -287,22 +284,17 @@ def _render_degrade(hrs: np.ndarray, jobs: list, opts: DegradeOpts) -> np.ndarra
         idx = np.flatnonzero(los == lo)
         group = [jobs[i] for i in idx]
         low = _resize_each(pool[src[idx]], lo, lo, [j.down for j in group])
-        if group[0].noise is not None:
-            gauss = [i for i, j in enumerate(group) if j.std is not None]
-            shot = [i for i, j in enumerate(group) if j.std is None]
-            if gauss:
-                std = np.array([group[i].std for i in gauss])[:, None, None]
-                low[gauss] = low[gauss] + std * np.stack([group[i].noise for i in gauss])
-            if shot:
-                part = low[shot]
-                low[shot] = part + opts.shot_noise_scale * np.sqrt(np.abs(part) + 1.0) \
-                    * np.stack([group[i].noise for i in shot])
-        if opts.quant_levels:
-            low = _quantize(low, opts.quant_levels)
-        out[idx] = _resize_each(low, h, w, [j.up for j in group])
-    if opts.final_blur:
-        out = _blur(out)
-    return np.clip(out, -1.0, 1.0)
+        gauss = [i for i, j in enumerate(group) if j.std is not None]
+        shot = [i for i, j in enumerate(group) if j.std is None]
+        if gauss:
+            std = np.array([group[i].std for i in gauss])[:, None, None]
+            low[gauss] = low[gauss] + std * np.stack([group[i].noise for i in gauss])
+        if shot:
+            part = low[shot]
+            low[shot] = part + SHOT_NOISE_SCALE * np.sqrt(np.abs(part) + 1.0) \
+                * np.stack([group[i].noise for i in shot])
+        out[idx] = _resize_each(_quantize(low), h, w, [j.up for j in group])
+    return np.clip(_blur(out), -1.0, 1.0)
 
 
 def texture_pairs(n: int, size: int, opts: DegradeOpts, rng: np.random.Generator,
@@ -321,7 +313,7 @@ def texture_pairs(n: int, size: int, opts: DegradeOpts, rng: np.random.Generator
         jobs.append(_draw_degrade(size, sd, opts, rng))
         if with_negative:
             neg_jobs.append(_draw_degrade(size, _uniform(rng, sd, 1.0), opts, rng))
-    out = _render_degrade(hrs, jobs + neg_jobs, opts).reshape(-1, size * size)
+    out = _render_degrade(hrs, jobs + neg_jobs).reshape(-1, size * size)
     return PairBatch(x0=hrs.reshape(n, -1), x1=out[:n], s_down=s_downs,
                      x0_neg=out[n:] if with_negative else None)
 

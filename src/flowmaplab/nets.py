@@ -210,22 +210,25 @@ class FlowMapModel:
     __call__ = forward
 
 
+WEIGHTNET_HIDDEN = 16
+
+
 class WeightNet:
     """Learned scalar loss weight lambda_{s,t}.
 
-    Two-layer head over concatenated time embeddings; the output layer is
-    zero-initialized so the weight starts at 0 (and exp(-0) = 1) everywhere.
+    Two-layer head, ``WEIGHTNET_HIDDEN`` wide, over concatenated time
+    embeddings; the output layer is zero-initialized so the weight starts at
+    0 (and exp(-0) = 1) everywhere.
     """
 
-    def __init__(self, time_dim: int = 32, hidden: int = 16,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, time_dim: int = 32, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.time_dim = time_dim
-        w1, b1 = _linear_init(rng, 2 * time_dim, hidden)
+        w1, b1 = _linear_init(rng, 2 * time_dim, WEIGHTNET_HIDDEN)
         self.params = {
             "w1": Tensor(w1, requires_grad=True),
             "b1": Tensor(b1, requires_grad=True),
-            "w2": Tensor(np.zeros((hidden, 1)), requires_grad=True),
+            "w2": Tensor(np.zeros((WEIGHTNET_HIDDEN, 1)), requires_grad=True),
             "b2": Tensor(np.zeros(1), requires_grad=True),
         }
 

@@ -172,6 +172,8 @@ def average_velocity_oracle(v, x: np.ndarray, s: float, t: float,
 
 
 IDENTITIES = ("lsd", "esd", "ssd", "semigroup")
+SEMIGROUP_STEPS = 512  # RK4 steps of each solve the semigroup identity composes
+FD_H = 1e-4            # finite-difference step of the lsd and esd identities
 
 
 @dataclass
@@ -191,8 +193,7 @@ class IdentityReport:
                 w.writerow([self.setting, i, f"{r:.6e}"])
 
 
-def check_identity(setting: str, task: GaussianTask, probes,
-                   n_steps: int = 512, fd_h: float = 1e-4) -> IdentityReport:
+def check_identity(setting: str, task: GaussianTask, probes) -> IdentityReport:
     """Residual of a self-consistency characterization on the true flow map.
 
     ``setting`` is one of ``IDENTITIES``.  Each probe is a tuple (x, s, t)
@@ -200,9 +201,9 @@ def check_identity(setting: str, task: GaussianTask, probes,
     and every probe are checked before any probe runs.  The lsd, esd and ssd
     identities use the closed-form map ``gaussian_flow_map``, u_{s,t}(x) =
     (x - X_{s,t}(x)) / (t - s).  Derivatives of u in s and t are central
-    differences with step ``fd_h`` where the stencil stays in [0, 1], and
+    differences with step ``FD_H`` where the stencil stays in [0, 1], and
     second-order one-sided differences at the ends, so every interval in
-    [0, 1] can be checked.  The semigroup identity composes ``n_steps``-step
+    [0, 1] can be checked.  The semigroup identity composes ``SEMIGROUP_STEPS``-step
     RK4 solutions of the velocity field (``_gaussian_rk4``, which equals
     ``integrate_flow`` bit for bit), the reference independent of the
     closed form.
@@ -232,22 +233,22 @@ def check_identity(setting: str, task: GaussianTask, probes,
         if setting == "semigroup":
             # X_{s,t} = X_{s,r} o X_{r,t} with r the midpoint
             r = 0.5 * (s + t)
-            direct = _gaussian_rk4(task, x, t, s, n_steps)
-            via_mid = _gaussian_rk4(task, _gaussian_rk4(task, x, t, r, n_steps), r, s, n_steps)
+            n = SEMIGROUP_STEPS
+            direct = _gaussian_rk4(task, x, t, s, n)
+            via_mid = _gaussian_rk4(task, _gaussian_rk4(task, x, t, r, n), r, s, n)
             report.residuals.append(float(np.linalg.norm(direct - via_mid)))
             continue
         u_st = u(x, s, t)
         if setting == "lsd":
             # u_{s,t}(x) = u_{s,s}(X_{s,t}(x)) + (t-s) d_s u_{s,t}(x)
             endpoint = gaussian_flow_map(task, x, s, t)
-            du_ds = _derivative(lambda r: u(x, r, t), s, fd_h)
+            du_ds = _derivative(lambda r: u(x, r, t), s, FD_H)
             rhs = v(endpoint, s) + (t - s) * du_ds
         elif setting == "esd":
             # u_{s,t}(x) = v_t(x) - (t-s)(grad u . v_t + d_t u)
             vt = v(x, t)
-            eps = fd_h
-            jvp_x = (u(x + eps * vt, s, t) - u(x - eps * vt, s, t)) / (2.0 * eps)
-            du_dt = _derivative(lambda r: u(x, s, r), t, fd_h)
+            jvp_x = (u(x + FD_H * vt, s, t) - u(x - FD_H * vt, s, t)) / (2.0 * FD_H)
+            du_dt = _derivative(lambda r: u(x, s, r), t, FD_H)
             rhs = vt - (t - s) * (jvp_x + du_dt)
         else:
             # ssd: two-half-step composition with midpoint r = (s+t)/2

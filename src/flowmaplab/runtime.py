@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io as _io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .autodiff import Tensor
 from .data import DegradeOpts, PairBatch, gaussian_pair, gen_toy2d, texture_pairs
 from .interpolant import STANDARD
 from .io import load_checkpoint, save_checkpoint
-from .losses import (GuidanceContext, combined_loss, disc_loss, draw_guidance, fm_loss,
-                     rpgan_losses, two_step_prediction)
+from .losses import (combined_loss, disc_loss, draw_guidance, fm_loss, rpgan_losses,
+                     two_step_prediction)
 from .nets import (COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel, WeightNet,
                    check_sizes)
 from .oracle import GaussianTask
@@ -72,64 +72,68 @@ class SamplerConfig:
         k = self.steps
         if k < 1 or (k & (k - 1)) != 0 or k > (1 << self.d_max):
             raise ValueError(f"steps must be a power of two <= {1 << self.d_max}")
+        if not math.isfinite(self.lora_scale):
+            raise ValueError(f"lora_scale must be finite, got {self.lora_scale}")
 
 
 # -- optimizer ------------------------------------------------------------
 
 
-class AdamW:
-    """Adam with decoupled weight decay; beta = (0.9, 0.999), eps = 1e-8."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+
+class AdamW:
+    """Adam with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``: AdamW at
+    zero weight decay."""
+
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros(p.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape) for k, p in params.items()}
 
     def step(self, grads: dict):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
-            self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+            p.data = p.data - self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 # -- tasks ----------------------------------------------------------------
 
 
+# the gaussian2d endpoints, which the oracle checks also use
+GAUSSIAN_2D = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
+                           sigma0=0.6, sigma1=1.2)
+GAUSSIAN_2D.mu0.setflags(write=False)
+GAUSSIAN_2D.mu1.setflags(write=False)
+# std of the noised copy of x0 that stands in for the degraded negative target
+# of the 2D tasks
+NEG_NOISE = 0.3
+
+
 class Gaussian2DTask:
-    """Independent Gaussian endpoints; the analytic-oracle training task."""
+    """The ``GAUSSIAN_2D`` endpoints, drawn independently; the
+    analytic-oracle training task."""
 
     name = "gaussian2d"
     image_hw = None
-
-    def __init__(self, mu0=(1.0, -1.0), sigma0=0.6, mu1=(-1.0, 1.0), sigma1=1.2,
-                 neg_noise: float = 0.3):
-        # the oracle's task is the one validator: it names a bad field
-        g = GaussianTask(mu0=mu0, mu1=mu1, sigma0=sigma0, sigma1=sigma1)
-        self.mu0, self.mu1, self.sigma0, self.sigma1 = g.mu0, g.mu1, g.sigma0, g.sigma1
-        self.neg_noise = neg_noise
-        self.state_dim = self.mu0.shape[0]
+    mu0, mu1 = GAUSSIAN_2D.mu0, GAUSSIAN_2D.mu1
+    sigma0, sigma1 = GAUSSIAN_2D.sigma0, GAUSSIAN_2D.sigma1
+    state_dim = GAUSSIAN_2D.mu0.size
 
     def sample(self, n: int, rng: np.random.Generator,
                with_negative: bool = False) -> PairBatch:
         batch = gaussian_pair(n, self.mu0, self.sigma0, self.mu1, self.sigma1, rng)
         if with_negative:
-            # 2D stand-in for the degraded negative target: a noised copy of x0
-            batch.x0_neg = batch.x0 + self.neg_noise * rng.standard_normal(batch.x0.shape)
+            batch.x0_neg = batch.x0 + NEG_NOISE * rng.standard_normal(batch.x0.shape)
         return batch
 
     def source_samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,7 +151,7 @@ class Toy2DTask:
     def sample(self, n, rng, with_negative=False) -> PairBatch:
         batch = gen_toy2d(n, self.kind, rng)
         if with_negative:
-            batch.x0_neg = batch.x0 + 0.3 * rng.standard_normal(batch.x0.shape)
+            batch.x0_neg = batch.x0 + NEG_NOISE * rng.standard_normal(batch.x0.shape)
         return batch
 
     def source_samples(self, n, rng):
@@ -184,14 +188,15 @@ TASKS = {
 
 
 PSNR_CAP = 99.0
+PSNR_PEAK = 2.0  # the width of the [-1, 1] pixel range
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 2.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; zero-MSE pairs report the 99 cap."""
     mse = float(np.mean((np.asarray(a) - np.asarray(b)) ** 2))
     if mse == 0.0:
         return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * math.log10(peak * peak / mse))
+    return min(PSNR_CAP, 10.0 * math.log10(PSNR_PEAK * PSNR_PEAK / mse))
 
 
 def gaussian_w2(samples: np.ndarray, mu: np.ndarray, sigma: float) -> float:

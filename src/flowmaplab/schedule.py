@@ -45,24 +45,20 @@ class TimestepPair:
         return self.t.value
 
 
+# the finest level whose times k / 2**d are exact and distinct doubles
+MAX_LEVEL = 53
+
+
 @dataclass(frozen=True)
 class GridConfig:
     d_max: int = 7
     p_fm: float = 0.75
 
     def __post_init__(self):
-        if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
+        if not 1 <= self.d_max <= MAX_LEVEL:
+            raise ValueError(f"d_max must lie in [1, {MAX_LEVEL}], got {self.d_max}")
         if not 0.0 < self.p_fm < 1.0:
             raise ValueError("p_fm must lie strictly in (0, 1)")
-
-
-def make_grid(d: int) -> list[float]:
-    """The 2**d + 1 uniformly spaced times of level d."""
-    if d < 0:
-        raise ValueError("level must be >= 0")
-    n = 1 << d
-    return [k / n for k in range(n + 1)]
 
 
 def fm_pair(cfg: GridConfig, rng: np.random.Generator) -> TimestepPair:

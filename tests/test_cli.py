@@ -13,6 +13,7 @@ import pytest
 
 from flowmaplab.cli import main, plan_from_config
 from flowmaplab.runtime import PhasePlan
+from flowmaplab.schedule import GridConfig
 from flowmaplab.data import load_pgm
 
 TINY_CFG = """\
@@ -87,6 +88,25 @@ def test_sample_subcommand(trained, tmp_path):
     rows = (out / "samples.csv").read_text().splitlines()
     assert rows[0] == "x0,x1"
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_sample_refuses_non_finite_lora_scale(trained, tmp_path, capsys, scale):
+    # a usage error, refused before anything is written
+    out = tmp_path / "samples"
+    assert main(["sample", "--checkpoint", str(trained / "model.ckpt"),
+                 "--out", str(out), "--lora-scale", scale]) == 1
+    assert "lora_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_with_overflowing_samples_is_two(trained, tmp_path, capsys):
+    # a finite scale whose adapter term overflows is a numeric failure
+    with np.errstate(all="ignore"):
+        rc = main(["sample", "--checkpoint", str(trained / "model.ckpt"),
+                   "--out", str(tmp_path / "samples"), "--lora-scale", "1e308"])
+    assert rc == 2
+    assert "non-finite samples" in capsys.readouterr().err
 
 
 def test_eval_subcommand(trained, capsys):
@@ -210,6 +230,12 @@ class TestExitCodes:
         assert {k: getattr(plan, k) for k in want} == want
         assert all(type(getattr(plan, k)) is type(v) for k, v in want.items())
 
+    @pytest.mark.parametrize("keys", ["d_max = 5\np_fm = 0.5\n", "p_fm = 0.5\nd_max = 5\n"])
+    def test_grid_keys_land_in_the_plan_grid(self, keys):
+        cp = configparser.ConfigParser()
+        cp.read_string("[train]\n" + keys)
+        assert plan_from_config(cp).grid == GridConfig(d_max=5, p_fm=0.5)
+
     def test_unknown_config_key_is_one(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[train]\nwarp_factor = 9\n")
@@ -230,6 +256,9 @@ class TestExitCodes:
         (TINY_CFG.replace("time_dim = 8", "time_dim = 3"), "time_dim"),
         (TINY_CFG.replace("cond_dim = 4", "cond_dim = -1"), "cond_dim"),
         (TINY_CFG + "lora_train_scale = nan\n", "lora_train_scale"),
+        (TINY_CFG + "d_max = 0\n", "d_max"),
+        (TINY_CFG + "d_max = 54\n", "d_max"),
+        (TINY_CFG + "p_fm = 1.0\n", "p_fm"),
     ])
     def test_unrunnable_plan_is_one(self, tmp_path, capsys, cfg_text, field):
         cfg = tmp_path / "cfg.ini"

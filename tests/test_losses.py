@@ -183,6 +183,23 @@ class TestSdTargets:
         with pytest.raises(ValueError):
             sd_target(LSD, model, np.zeros((1, 2)), np.ones((1, 2)), 0.5, 0.5)
 
+    @pytest.mark.parametrize("builder", ["sd_target", "cfg_sd_target"])
+    @pytest.mark.parametrize("setting,s,t,match", [
+        ("bogus", 0.25, 0.75, "unknown setting 'bogus'"),
+        (LSD, 0.75, 0.25, "need s < t"),
+        (SSD, 0.5, 0.25, "need s < t"),
+    ])
+    def test_builders_refuse_before_evaluating(self, builder, setting, s, t, match):
+        model = make_model(7)
+        x0, x1 = np.zeros((1, 2)), np.ones((1, 2))
+        ctx = GuidanceContext(w=2.0, w_max=3.5, cond=COND_POSITIVE)
+        build = {"sd_target": lambda: sd_target(setting, model, x0, x1, s, t),
+                 "cfg_sd_target": lambda: cfg_sd_target(setting, model, x0, x1, s, t,
+                                                        STANDARD, ctx)}[builder]
+        with pytest.raises(ValueError, match=match):
+            build()
+        assert model.eval_count == 0
+
     @pytest.mark.parametrize("setting,cost", [(LSD, 1), (ESD, 1), (SSD, 2)])
     def test_unconditional_eval_cost(self, setting, cost):
         model = make_model(8)

@@ -40,13 +40,6 @@ class TestAdamW:
             opt.step(ad.grad(loss, {"x": x}))
         assert np.all(np.abs(x.data) < 1e-3)
 
-    def test_decoupled_decay_shrinks_weights(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW({"x": x}, lr=0.01, weight_decay=0.5)
-        for _ in range(50):
-            opt.step({"x": np.zeros(1)})  # zero gradient, decay only
-        assert 0.0 < x.data[0] < 1.0
-
 
 class TestSamplerConfig:
     def test_power_of_two_enforced(self):
@@ -55,6 +48,11 @@ class TestSamplerConfig:
         for k in (0, 3, 6, 256):
             with pytest.raises(ValueError):
                 SamplerConfig(steps=k)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lora_scale_refused_by_name(self, scale):
+        with pytest.raises(ValueError, match="lora_scale"):
+            SamplerConfig(lora_scale=scale)
 
 
 class TestTrainLoop:
@@ -113,16 +111,11 @@ class TestTrainLoop:
             train(tiny_plan(**over), Gaussian2DTask(), seed=0)
         assert drawn == []
 
-    @pytest.mark.parametrize("over,field", [
-        (dict(sigma0=float("nan")), "sigma0"),
-        (dict(sigma1=float("inf")), "sigma1"),
-        (dict(sigma0=0.0), "sigma0"),
-        (dict(mu0=(1.0, float("nan"))), "mu0"),
-        (dict(mu1=(0.0, 1.0, 2.0)), "mu0 and mu1"),
-    ])
-    def test_gaussian_task_refuses_bad_parameter_by_name(self, over, field):
-        with pytest.raises(ValueError, match=field):
-            Gaussian2DTask(**over)
+    def test_gaussian_endpoints_are_read_only(self):
+        # every Gaussian2DTask, and oracle-check, share the GAUSSIAN_2D arrays
+        for mu in (Gaussian2DTask().mu0, Gaussian2DTask().mu1):
+            with pytest.raises(ValueError, match="read-only"):
+                mu[0] = 0.0
 
     def test_no_adapter_rank_needed_without_adversarial_steps(self):
         res = train(tiny_plan(lora_rank=0, adv_steps=0), Gaussian2DTask(), seed=0)

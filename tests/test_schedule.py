@@ -4,25 +4,7 @@ import numpy as np
 import pytest
 
 from flowmaplab.schedule import (ESD, GridConfig, GridTime, LSD, SSD, fm_pair,
-                                 make_grid, sample_pair)
-
-
-def test_grid_sizes_and_endpoints():
-    for d in range(8):
-        g = make_grid(d)
-        assert len(g) == 2 ** d + 1
-        assert g[0] == 0.0 and g[-1] == 1.0
-
-
-def test_finest_grid_has_129_points():
-    assert len(make_grid(GridConfig().d_max)) == 129
-
-
-def test_grid_nesting():
-    for d in range(7):
-        coarse = set(make_grid(d))
-        fine = set(make_grid(d + 1))
-        assert coarse <= fine
+                                 sample_pair)
 
 
 def test_gridtime_exact_value():
@@ -91,6 +73,28 @@ def test_config_validation():
         GridConfig(p_fm=0.0)
     with pytest.raises(ValueError):
         sample_pair("bogus", GridConfig(), np.random.default_rng(0))
+
+
+def test_finest_level_is_53():
+    # every k / 2**53 is an exact, distinct double; from level 54 the two grid
+    # times next to 1 round to one double, and a pair there is diagonal in value
+    # but not in (k, d)
+    top = 1 << 53
+    assert GridTime(top - 1, 53).value < GridTime(top, 53).value == 1.0
+    assert GridTime(2 * top - 1, 54).value == GridTime(2 * top, 54).value
+    rng = np.random.default_rng(5)
+    cfg = GridConfig(d_max=53, p_fm=0.01)
+    for setting in (LSD, ESD, SSD):
+        for _ in range(200):
+            p = sample_pair(setting, cfg, rng)
+            assert p.is_fm == (p.s_value == p.t_value)
+        assert fm_pair(cfg, rng).t.d == 53
+
+
+@pytest.mark.parametrize("d_max", [54, 60, 64])
+def test_levels_past_53_are_refused_by_name(d_max):
+    with pytest.raises(ValueError, match="d_max"):
+        GridConfig(d_max=d_max)
 
 
 def test_times_stay_in_unit_interval():
