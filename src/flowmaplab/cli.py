@@ -19,9 +19,9 @@ from . import __version__
 from .data import DegradeOpts, dump_corpus, save_pgm
 from .nets import COND_NAMES
 from .oracle import IDENTITIES, check_identity
-from .runtime import (GAUSSIAN_2D, Gaussian2DTask, PhasePlan, SamplerConfig, TASKS,
-                      TextureSRTask, TrainAbort, evaluate_gaussian, evaluate_sr,
-                      load_model, sample, save_result, train)
+from .runtime import (GAUSSIAN_2D, PhasePlan, SamplerConfig, TextureSRTask, TrainAbort,
+                      evaluate_gaussian, evaluate_sr, load_model, make_task, sample,
+                      save_result, train)
 from .schedule import GridConfig
 
 EXIT_OK = 0
@@ -51,11 +51,21 @@ _SCALAR_FIELDS = {f.name: _GETTERS[f.type] for f in dataclasses.fields(PhasePlan
                   if f.type in _GETTERS}
 
 
+def _train_section(cp: configparser.ConfigParser) -> configparser.SectionProxy:
+    """The ``[train]`` section, empty when the config has none.  Any other
+    section, a non-empty ``[DEFAULT]`` too, is refused by name: a misspelt
+    one would otherwise leave every key at its default."""
+    other = [s for s in cp.sections() if s != "train"]
+    if cp.defaults():
+        other.insert(0, cp.default_section)
+    if other:
+        raise ValueError(f"unknown config section [{other[0]}]: a config holds only [train]")
+    return cp["train"] if cp.has_section("train") else cp[cp.default_section]
+
+
 def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
     plan = PhasePlan()
-    if not cp.has_section("train"):
-        return plan
-    sec = cp["train"]
+    sec = _train_section(cp)
     for key in sec:
         if key in _SCALAR_FIELDS:
             setattr(plan, key, getattr(sec, _SCALAR_FIELDS[key])(key))
@@ -65,7 +75,7 @@ def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
             plan.grid = GridConfig(d_max=sec.getint(key), p_fm=plan.grid.p_fm)
         elif key == "p_fm":
             plan.grid = GridConfig(d_max=plan.grid.d_max, p_fm=sec.getfloat(key))
-        elif key in ("task", "size", "kind"):
+        elif key in ("task", "size"):
             pass  # consumed by task_from_config
         else:
             raise ValueError(f"unknown [train] key {key!r}")
@@ -73,18 +83,8 @@ def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
 
 
 def task_from_config(cp: configparser.ConfigParser):
-    name = "gaussian2d"
-    if cp.has_section("train"):
-        name = cp["train"].get("task", name)
-    if name not in TASKS:
-        raise ValueError(f"unknown task {name!r}")
-    if name == "texture_sr":
-        size = cp["train"].getint("size", 16) if cp.has_section("train") else 16
-        return TextureSRTask(size=size)
-    if name == "toy2d":
-        kind = cp["train"].get("kind", "two_gaussians")
-        return TASKS[name](kind)
-    return TASKS[name]()
+    sec = _train_section(cp)
+    return make_task(sec.get("task", "gaussian2d"), sec.getint("size"))
 
 
 def _cmd_train(args) -> int:
@@ -118,11 +118,8 @@ def _load_for_sampling(args):
                         lora_scale=args.lora_scale,
                         d_max=int(meta.get("d_max", 7)))
     name = meta.get("task", "gaussian2d")
-    if name not in TASKS:
-        raise ValueError(f"unknown task {name!r} in checkpoint")
-    if name == "texture_sr":
-        return model, cfg, TextureSRTask(size=int(round(float(model.state_dim) ** 0.5)))
-    return model, cfg, TASKS[name]()
+    return model, cfg, make_task(name, round(model.state_dim ** 0.5)
+                                 if name == "texture_sr" else None)
 
 
 def _cmd_sample(args) -> int:
@@ -154,12 +151,9 @@ def _cmd_eval(args) -> int:
     model, cfg, task = _load_for_sampling(args)
     if isinstance(task, TextureSRTask):
         report = evaluate_sr(model, task, args.n, cfg, seed=args.seed)
-    elif isinstance(task, Gaussian2DTask):
+    else:
         _require_n(args.n, 2, " for the W2 metric")
         report = evaluate_gaussian(model, task, args.n, cfg, seed=args.seed)
-    else:
-        print(f"no closed-form metric for task {task.name}", file=sys.stderr)
-        return EXIT_USAGE
     bad = any(isinstance(v, float) and not np.isfinite(v) for v in report.values())
     for k, v in sorted(report.items()):
         print(f"{k}={v}")

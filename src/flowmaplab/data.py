@@ -1,5 +1,5 @@
-"""Paired-coupling generators: 2D toys, procedural textures with a lightened
-degradation pipeline, negative targets, and the analytic Gaussian task.
+"""Paired-coupling generators: procedural textures with a lightened
+degradation pipeline, and negative targets.
 
 Every generator is a pure function of its rng, so batches are bitwise
 reproducible.  Pixel tasks live in [-1, 1].
@@ -45,49 +45,6 @@ class PairBatch:
     def __post_init__(self):
         if self.x0.shape != self.x1.shape:
             raise ValueError("x0 and x1 must share a shape")
-
-
-# -- 2D toys --------------------------------------------------------------
-
-
-TOY_SIGMA = 0.4        # std of the noise on a toy source
-TOY_CONTRACTION = 0.5  # pull of a toy source toward the batch centre
-
-
-def gen_toy2d(n: int, kind: str, rng: np.random.Generator) -> PairBatch:
-    """2D coupling: x1 is a contracted-plus-noised copy of x0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "two_gaussians":
-        centers = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        which = rng.integers(0, 2, size=n)
-        x0 = centers[which] + 0.5 * rng.standard_normal((n, 2))
-    elif kind == "moons_pair":
-        theta = rng.uniform(0.0, np.pi, size=n)
-        branch = rng.integers(0, 2, size=n)
-        x0 = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        x0[branch == 1] = np.stack(
-            [1.0 - np.cos(theta[branch == 1]), 0.5 - np.sin(theta[branch == 1])], axis=1)
-        x0 += 0.05 * rng.standard_normal((n, 2))
-    else:
-        raise ValueError(f"unknown 2D task {kind!r}")
-    center = x0.mean(axis=0)
-    x1 = (1.0 - TOY_CONTRACTION) * x0 + TOY_CONTRACTION * center \
-        + TOY_SIGMA * rng.standard_normal((n, 2))
-    return PairBatch(x0=x0, x1=x1)
-
-
-def gaussian_pair(n: int, mu0, sigma0: float, mu1, sigma1: float,
-                  rng: np.random.Generator) -> PairBatch:
-    """Independent Gaussian endpoints, the analytic-oracle coupling."""
-    for name, sigma in (("sigma0", sigma0), ("sigma1", sigma1)):
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {sigma!r}")
-    mu0, mu1 = np.asarray(mu0, dtype=np.float64), np.asarray(mu1, dtype=np.float64)
-    d = mu0.shape[0]
-    x0 = mu0 + sigma0 * rng.standard_normal((n, d))
-    x1 = mu1 + sigma1 * rng.standard_normal((n, d))
-    return PairBatch(x0=x0, x1=x1)
 
 
 # -- procedural textures --------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DegradeOpts, PairBatch, gaussian_pair, gen_toy2d, texture_pairs
+from .data import DegradeOpts, PairBatch, texture_pairs
 from .interpolant import STANDARD
 from .io import load_checkpoint, save_checkpoint
 from .losses import (combined_loss, disc_loss, draw_guidance, fm_loss, rpgan_losses,
@@ -114,8 +114,8 @@ GAUSSIAN_2D = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
                            sigma0=0.6, sigma1=1.2)
 GAUSSIAN_2D.mu0.setflags(write=False)
 GAUSSIAN_2D.mu1.setflags(write=False)
-# std of the noised copy of x0 that stands in for the degraded negative target
-# of the 2D tasks
+# std of the noised copy of x0 that stands in for gaussian2d's degraded
+# negative target
 NEG_NOISE = 0.3
 
 
@@ -131,31 +131,14 @@ class Gaussian2DTask:
 
     def sample(self, n: int, rng: np.random.Generator,
                with_negative: bool = False) -> PairBatch:
-        batch = gaussian_pair(n, self.mu0, self.sigma0, self.mu1, self.sigma1, rng)
+        x0 = self.mu0 + self.sigma0 * rng.standard_normal((n, self.state_dim))
+        batch = PairBatch(x0=x0, x1=self.source_samples(n, rng))
         if with_negative:
-            batch.x0_neg = batch.x0 + NEG_NOISE * rng.standard_normal(batch.x0.shape)
+            batch.x0_neg = x0 + NEG_NOISE * rng.standard_normal(x0.shape)
         return batch
 
     def source_samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mu1 + self.sigma1 * rng.standard_normal((n, self.state_dim))
-
-
-class Toy2DTask:
-    name = "toy2d"
-    image_hw = None
-    state_dim = 2
-
-    def __init__(self, kind: str = "two_gaussians"):
-        self.kind = kind
-
-    def sample(self, n, rng, with_negative=False) -> PairBatch:
-        batch = gen_toy2d(n, self.kind, rng)
-        if with_negative:
-            batch.x0_neg = batch.x0 + NEG_NOISE * rng.standard_normal(batch.x0.shape)
-        return batch
-
-    def source_samples(self, n, rng):
-        return self.sample(n, rng).x1
 
 
 class TextureSRTask:
@@ -177,11 +160,16 @@ class TextureSRTask:
         return self.sample(n, rng).x1
 
 
-TASKS = {
-    "gaussian2d": Gaussian2DTask,
-    "toy2d": Toy2DTask,
-    "texture_sr": TextureSRTask,
-}
+def make_task(name: str, size: int | None = None):
+    """The task called ``name``.  ``size`` is texture_sr's image side
+    (default 16); any other task refuses it."""
+    if name == "texture_sr":
+        return TextureSRTask(16 if size is None else size)
+    if name != "gaussian2d":
+        raise ValueError(f"unknown task {name!r}: the tasks are gaussian2d and texture_sr")
+    if size is not None:
+        raise ValueError(f"size is a texture_sr key; task {name!r} takes none")
+    return Gaussian2DTask()
 
 
 # -- metrics --------------------------------------------------------------

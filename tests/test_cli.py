@@ -11,7 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowmaplab.cli import main, plan_from_config
+from flowmaplab.cli import main, plan_from_config, task_from_config
+from flowmaplab.io import load_checkpoint, save_checkpoint
 from flowmaplab.runtime import PhasePlan
 from flowmaplab.schedule import GridConfig
 from flowmaplab.data import load_pgm
@@ -189,20 +190,30 @@ def test_sr_sample_writes_pgm(tmp_path):
     assert load_pgm(out / "input_0000.pgm").shape == (8, 8)
 
 
-@pytest.mark.parametrize("task,code,expected", [
-    ("texture_sr\nsize = 8", 0, "psnr_model="),
-    ("toy2d", 1, "no closed-form metric for task toy2d"),
-])
-def test_eval_reads_the_task_from_the_checkpoint(tmp_path, capsys, task, code, expected):
+def test_eval_reads_the_task_from_the_checkpoint(tmp_path, capsys):
     # sample and eval rebuild the model, sampler and task the same way
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(TINY_CFG.replace("task = gaussian2d", f"task = {task}"))
+    cfg.write_text(TINY_CFG.replace("task = gaussian2d", "task = texture_sr\nsize = 8"))
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
     capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--n", "2"]) == code
+    assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--n", "2"]) == 0
+    assert "psnr_model=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_checkpoint_of_a_removed_task_is_refused(trained, tmp_path, capsys, command):
+    # a task name the lab no longer has is refused by name, not aliased
+    tensors, meta = load_checkpoint(trained / "model.ckpt")
+    ckpt = tmp_path / "toy.ckpt"
+    save_checkpoint(ckpt, tensors, {**meta, "task": "toy2d"})
+    out = tmp_path / "samples"
+    extra = ["--out", str(out)] if command == "sample" else []
+    assert main([command, "--checkpoint", str(ckpt), "--n", "4"] + extra) == 1
     captured = capsys.readouterr()
-    assert expected in captured.out + captured.err
+    assert "unknown task 'toy2d'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -236,11 +247,31 @@ class TestExitCodes:
         cp.read_string("[train]\n" + keys)
         assert plan_from_config(cp).grid == GridConfig(d_max=5, p_fm=0.5)
 
-    def test_unknown_config_key_is_one(self, tmp_path):
+    @pytest.mark.parametrize("cfg_text,expected", [
+        ("[train]\nwarp_factor = 9\n", "unknown [train] key 'warp_factor'"),
+        # the key of the removed toy2d task, and the task itself
+        (TINY_CFG + "kind = moons_pair\n", "unknown [train] key 'kind'"),
+        (TINY_CFG.replace("task = gaussian2d", "task = toy2d"), "unknown task 'toy2d'"),
+        # a misspelt section would otherwise run the full default plan
+        ("[trian]\nfm_steps = 1\ntask = texture_sr\n", "unknown config section [trian]"),
+        (TINY_CFG + "[eval]\nn = 4\n", "unknown config section [eval]"),
+        ("[DEFAULT]\nfm_steps = 1\n", "unknown config section [DEFAULT]"),
+        ("[DEFAULT]\nfm_steps = 1\n" + TINY_CFG, "unknown config section [DEFAULT]"),
+    ], ids=["key", "kind", "toy2d", "trian", "eval", "default", "default-and-train"])
+    def test_unknown_config_name_is_one(self, tmp_path, capsys, cfg_text, expected):
+        # refused before the output directory is made
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[train]\nwarp_factor = 9\n")
-        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 1
+        cfg.write_text(cfg_text)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_without_a_train_section_is_the_default_plan(self):
+        cp = configparser.ConfigParser()
+        cp.read_string("")
+        assert plan_from_config(cp) == PhasePlan()
+        assert task_from_config(cp).name == "gaussian2d"
 
     @pytest.mark.parametrize("cfg_text,field", [
         (TINY_CFG.replace("fm_steps = 4", "fm_steps = -3"), "fm_steps"),
@@ -259,6 +290,7 @@ class TestExitCodes:
         (TINY_CFG + "d_max = 0\n", "d_max"),
         (TINY_CFG + "d_max = 54\n", "d_max"),
         (TINY_CFG + "p_fm = 1.0\n", "p_fm"),
+        (TINY_CFG + "size = 12\n", "size"),  # a texture_sr key
     ])
     def test_unrunnable_plan_is_one(self, tmp_path, capsys, cfg_text, field):
         cfg = tmp_path / "cfg.ini"

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from flowmaplab.data import (DegradeOpts, PairBatch, _blur, _quantize, _resize,
-                             dump_corpus, gaussian_pair, gen_texture, gen_toy2d,
-                             load_pgm, save_pgm, texture_pairs)
-from flowmaplab.runtime import TextureSRTask
+                             dump_corpus, gen_texture, load_pgm, save_pgm, texture_pairs)
+from flowmaplab.runtime import GAUSSIAN_2D, Gaussian2DTask, TextureSRTask
 
 # -- per-image reference ---------------------------------------------------
 #
@@ -184,31 +183,12 @@ def test_pairbatch_shape_check():
         PairBatch(x0=np.zeros((2, 3)), x1=np.zeros((2, 4)))
 
 
-def test_toy2d_shapes_and_determinism():
-    a = gen_toy2d(100, "two_gaussians", np.random.default_rng(0))
-    b = gen_toy2d(100, "two_gaussians", np.random.default_rng(0))
-    assert a.x0.shape == a.x1.shape == (100, 2)
-    assert np.array_equal(a.x0, b.x0) and np.array_equal(a.x1, b.x1)
-    with pytest.raises(ValueError):
-        gen_toy2d(10, "spiral", np.random.default_rng(0))
-
-
-def test_gaussian_pair_moments():
-    rng = np.random.default_rng(1)
-    b = gaussian_pair(20000, [1.0, -1.0], 0.5, [-1.0, 1.0], 2.0, rng)
-    np.testing.assert_allclose(b.x0.mean(axis=0), [1.0, -1.0], atol=0.03)
-    np.testing.assert_allclose(b.x1.std(axis=0), 2.0, atol=0.05)
-
-
-@pytest.mark.parametrize("sigma0,sigma1,field", [
-    (float("nan"), 1.0, "sigma0"),
-    (0.0, 1.0, "sigma0"),
-    (1.0, float("inf"), "sigma1"),
-    (1.0, -2.0, "sigma1"),
-])
-def test_gaussian_pair_refuses_bad_sigma(sigma0, sigma1, field):
-    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
-        gaussian_pair(3, (1.0, 1.0), sigma0, (0.0, 1.0), sigma1, np.random.default_rng(0))
+def test_gaussian2d_sample_moments():
+    b = Gaussian2DTask().sample(20000, np.random.default_rng(1))
+    g = GAUSSIAN_2D
+    for x, mu, sigma in ((b.x0, g.mu0, g.sigma0), (b.x1, g.mu1, g.sigma1)):
+        np.testing.assert_allclose(x.mean(axis=0), mu, atol=4 * sigma / np.sqrt(20000))
+        np.testing.assert_allclose(x.std(axis=0), sigma, atol=4 * sigma / np.sqrt(2 * 20000))
 
 
 def test_texture_range_and_sizes():

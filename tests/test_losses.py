@@ -15,7 +15,7 @@ from flowmaplab.losses import (GuidanceContext, cfg_fm_target, cfg_sd_target,
 from flowmaplab.nets import (COND_NEGATIVE, COND_NULL, COND_POSITIVE, Discriminator,
                              FlowMapModel, WeightNet)
 from flowmaplab.oracle import GaussianTask, average_velocity_oracle, gaussian_velocity
-from flowmaplab.schedule import GridConfig, GridTime, LSD, ESD, SSD, TimestepPair
+from flowmaplab.schedule import GridTime, LSD, ESD, SSD, TimestepPair
 
 
 def make_model(seed=0, dim=2, perturb=0.05):

@@ -19,7 +19,7 @@ from flowmaplab.autodiff import Tensor
 from flowmaplab.io import load_checkpoint, save_checkpoint
 from flowmaplab.nets import COND_NULL, Discriminator, FlowMapModel
 from flowmaplab.runtime import (AdamW, Gaussian2DTask, METRICS_HEADER, PhasePlan,
-                                SamplerConfig, TextureSRTask, Toy2DTask, TrainAbort,
+                                SamplerConfig, TextureSRTask, TrainAbort,
                                 evaluate_gaussian, evaluate_sr, gaussian_w2,
                                 load_model, psnr, sample, save_result, train)
 
@@ -158,10 +158,6 @@ class TestTrainLoop:
         with pytest.raises(TrainAbort) as exc:
             train(tiny_plan(), PoisonTask(), seed=0)
         assert exc.value.record["step"] == 0
-
-    def test_toy2d_task_runs(self):
-        res = train(tiny_plan(adv_steps=0), Toy2DTask(), seed=0)
-        assert len(res.metrics_rows) == 12
 
     def test_d_pretrain_builds_no_generator_tape(self, monkeypatch):
         # ten d-pretrain steps need 2 untaped generator forwards and 2

@@ -13,9 +13,9 @@ set, and the number of residuals.  `tools/hashset.txt` is the committed
 output, and `tests/test_hashset.py` holds the running code to it.
 
 The runs:
-  * 18 adapter-free tiny runs (`adv_steps = d_pretrain_steps = 0`) and the
-    same 18 with the adversarial phases: task gaussian2d (g2d), two-Gaussian
-    toy2d (toy) or texture_sr size 8 (sr8), setting lsd/esd/ssd, seed 0/7;
+  * 12 adapter-free tiny runs (`adv_steps = d_pretrain_steps = 0`) and the
+    same 12 with the adversarial phases: task gaussian2d (g2d) or
+    texture_sr size 8 (sr8), setting lsd/esd/ssd, seed 0/7;
     plan fm 3, fmsd 5, cfg 6, d-pretrain 2, adv 3, batch 16, hidden 16,
     depth 2, drop_prob 0.3, other fields at their `PhasePlan` defaults;
   * two runs at the default model size (hidden 256, depth 4, batch 256),
@@ -23,7 +23,7 @@ The runs:
     texture_sr size 16 ssd.
   * the oracle probes: 12 seeded interior intervals and the end intervals
     [0, 0.5], [0.5, 1] and [0, 1], on the asymmetric Gaussian task of the
-    acceptance tests.
+    acceptance tests (`runtime.GAUSSIAN_2D`).
 BLAS is pinned to one thread; the whole set takes a few seconds.
 """
 
@@ -43,25 +43,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from flowmaplab.oracle import GaussianTask, check_identity  # noqa: E402
-from flowmaplab.runtime import (Gaussian2DTask, PhasePlan, TextureSRTask,  # noqa: E402
-                                Toy2DTask, save_result, train)
+from flowmaplab.oracle import check_identity  # noqa: E402
+from flowmaplab.runtime import (GAUSSIAN_2D, PhasePlan, make_task,  # noqa: E402
+                                save_result, train)
 
 TINY = dict(fm_steps=3, fmsd_steps=5, cfg_steps=6, d_pretrain_steps=2, adv_steps=3,
             batch_size=16, hidden=16, depth=2, drop_prob=0.3)
 DEFAULT_SIZE = dict(fm_steps=2, fmsd_steps=2, cfg_steps=2, d_pretrain_steps=1, adv_steps=2)
-TASKS = {
-    "g2d": ("gaussian2d", Gaussian2DTask),
-    "toy": ("toy2d", Toy2DTask),
-    "sr8": ("texture_sr", lambda: TextureSRTask(8)),
-    "sr16": ("texture_sr", lambda: TextureSRTask(16)),
-}
+# the `make_task` arguments of each task key
+TASK_ARGS = {"g2d": ("gaussian2d",), "sr8": ("texture_sr", 8), "sr16": ("texture_sr", 16)}
 
 
 def runs():
     """(name, task key, plan, seed) for every run of the set."""
     for adv in (False, True):
-        for task in ("g2d", "toy", "sr8"):
+        for task in ("g2d", "sr8"):
             for setting in ("lsd", "esd", "ssd"):
                 for seed in (0, 7):
                     over = {} if adv else {"adv_steps": 0, "d_pretrain_steps": 0}
@@ -73,18 +69,16 @@ def runs():
 
 
 def digest(task_key: str, plan: PhasePlan, seed: int, tmp: Path) -> tuple[str, int]:
-    task_name, make = TASKS[task_key]
-    res = train(plan, make(), seed=seed)
+    task = make_task(*TASK_ARGS[task_key])
+    res = train(plan, task, seed=seed)
     ckpt = tmp / "model.ckpt"
-    save_result(ckpt, res, task_name)
+    save_result(ckpt, res, task.name)
     blob = res.metrics_csv().encode("ascii") + ckpt.read_bytes()
     return hashlib.sha256(blob).hexdigest(), res.model.eval_count
 
 
 def oracle_digest() -> tuple[str, int]:
     """sha256 of the identity residuals on the fixed probe set, and their number."""
-    task = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
-                        sigma0=0.6, sigma1=1.2)
     rng = np.random.default_rng(0)
     probes = []
     for _ in range(12):
@@ -93,7 +87,8 @@ def oracle_digest() -> tuple[str, int]:
         probes.append((x, s, float(rng.uniform(s + 0.05, 1.0))))
     probes += [(np.array([0.5, -0.25]), s, t) for s, t in ((0.0, 0.5), (0.5, 1.0), (0.0, 1.0))]
     res = np.array([r for setting in ("lsd", "esd", "ssd", "semigroup")
-                    for r in check_identity(setting, task, probes).residuals], dtype=np.float64)
+                    for r in check_identity(setting, GAUSSIAN_2D, probes).residuals],
+                   dtype=np.float64)
     return hashlib.sha256(res.tobytes()).hexdigest(), res.size
 
 

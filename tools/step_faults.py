@@ -31,18 +31,15 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from flowmaplab.runtime import (Gaussian2DTask, PhasePlan, TextureSRTask,  # noqa: E402
-                                Toy2DTask, train)
+from flowmaplab.runtime import PhasePlan, make_task, train  # noqa: E402
 
-TASKS = {"gaussian2d": Gaussian2DTask, "toy2d": Toy2DTask,
-         "texture_sr": lambda: TextureSRTask(16)}
 KINDS = (("fm", "fm_steps"), ("fmsd", "fmsd_steps"), ("cfg", "cfg_steps"),
          ("dpre", "d_pretrain_steps"), ("adv", "adv_steps"))
 
 
 def step_faults(task_name: str, plan: PhasePlan, seed: int) -> dict:
     """Per step kind: {"n", "faults_p50", "ms_p50", "faults", "ms"}."""
-    task = TASKS[task_name]()
+    task = make_task(task_name)
     stamps: list[tuple[int, float]] = []
     draw = task.sample
 
@@ -69,7 +66,7 @@ def step_faults(task_name: str, plan: PhasePlan, seed: int) -> dict:
 
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--task", choices=sorted(TASKS), default="gaussian2d")
+    p.add_argument("--task", choices=("gaussian2d", "texture_sr"), default="gaussian2d")
     p.add_argument("--setting", default="lsd")
     p.add_argument("--seed", type=int, default=0)
     for kind, field in KINDS:
