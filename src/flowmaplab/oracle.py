@@ -6,9 +6,9 @@ velocity field is kept beside it as an independent reference.
 The semigroup identity runs ``_gaussian_rk4``, the same RK4 for one point
 of the Gaussian field on Python floats and equal to it bit for bit: a
 semigroup probe (three 512-step solves) takes about 3.4 ms instead of
-44 ms on 2 cores.  Derivatives of the oracle average velocity are taken by
-finite differences rather than through the autodiff engine, so this module
-stays independent of the code it is used to verify.
+44 ms on 2 cores.  The average velocity and its tangents in x, s and t are
+closed forms too (``gaussian_average_velocity``), not autodiff results, so
+this module stays independent of the code it is used to verify.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ def _scalars(task: GaussianTask, t: float) -> tuple[float, float, float]:
     return a, var_t, (t * s1_sq - a * s0_sq) / var_t
 
 
-def _moments(task: GaussianTask, t: float) -> tuple[np.ndarray, float, float]:
-    """Mean m_t, per-coordinate variance v_t and velocity slope c_t at time t."""
-    a, var_t, c_t = _scalars(task, t)
-    return a * task.mu0 + t * task.mu1, var_t, c_t
-
-
 def gaussian_velocity(task: GaussianTask, x: np.ndarray, t: float) -> np.ndarray:
     """Marginal velocity of the linear path between two Gaussians.
 
@@ -74,31 +68,48 @@ def gaussian_velocity(task: GaussianTask, x: np.ndarray, t: float) -> np.ndarray
     with m_t = (1-t) mu0 + t mu1 and v_t = (1-t)^2 s0^2 + t^2 s1^2, giving
         v(x, t) = (mu1 - mu0) + (t s1^2 - (1-t) s0^2) / v_t (x - m_t).
     """
-    m_t, _, coef = _moments(task, t)
+    a, _, coef = _scalars(task, t)
+    m_t = a * task.mu0 + t * task.mu1
     return (task.mu1 - task.mu0) + coef * (np.asarray(x, dtype=np.float64) - m_t)
 
 
-def gaussian_flow_map(task: GaussianTask, x: np.ndarray, s: float,
-                      t: float) -> np.ndarray:
-    """Exact solution map X_{s,t}: carries x at time t to time s.
+def gaussian_average_velocity(task: GaussianTask, x: np.ndarray, s: float, t: float,
+                              dx=None, ds: float = 0.0, dt: float = 0.0) -> tuple:
+    """(u, du, X) in closed form for 0 <= s < t <= 1: the average velocity
+    u_{s,t}(x) = (x - X) / (t - s), its derivative along (dx, ds, dt), and the
+    map point X = X_{s,t}(x), which carries x at time t to time s.
 
     The velocity is affine in x with a scalar slope, so the map is the
-    increasing affine map between N(m_t, v_t I) and N(m_s, v_s I):
-        X_{s,t}(x) = m_s + sqrt(v_s / v_t) (x - m_t).
+    increasing affine map between N(m_t, v_t I) and N(m_s, v_s I),
+    X = m_s + rho (x - m_t) with rho = sqrt(v_s / v_t).  With m' = mu1 - mu0
+    and v'_r = -2 (1-r) s0^2 + 2 r s1^2:
+        grad u . w = (1 - rho) w / (t - s)
+        d_s u = (u - d_s X) / (t - s),   d_s X = m' + rho v'_s / (2 v_s) (x - m_t)
+        d_t u = -(d_t X + u) / (t - s),  d_t X = -rho m' - rho v'_t / (2 v_t) (x - m_t)
+    The tangents read v'_r, not the slope c_r = v'_r / (2 v_r) of
+    ``gaussian_velocity``, so an identity pairing the two compares two
+    separately written formulas.
     """
-    m_s, var_s, _ = _moments(task, s)
-    m_t, var_t, _ = _moments(task, t)
-    return m_s + math.sqrt(var_s / var_t) * (np.asarray(x, dtype=np.float64) - m_t)
-
-
-def _derivative(f, r: float, h: float) -> np.ndarray:
-    """df/dr at r with step h: central where r +- h stays in [0, 1], else the
-    second-order one-sided stencil pointing into the interval."""
-    if r - h >= 0.0 and r + h <= 1.0:
-        return (f(r + h) - f(r - h)) / (2.0 * h)
-    if r - h < 0.0:
-        return (-3.0 * f(r) + 4.0 * f(r + h) - f(r + 2.0 * h)) / (2.0 * h)
-    return (3.0 * f(r) - 4.0 * f(r - h) + f(r - 2.0 * h)) / (2.0 * h)
+    if s >= t:
+        raise ValueError("need s < t; use the instantaneous field on the diagonal")
+    a_s, var_s, _ = _scalars(task, s)
+    a_t, var_t, _ = _scalars(task, t)
+    x = np.asarray(x, dtype=np.float64)
+    h, rho = t - s, math.sqrt(var_s / var_t)
+    centred = x - (a_t * task.mu0 + t * task.mu1)
+    endpoint = (a_s * task.mu0 + s * task.mu1) + rho * centred
+    u = (x - endpoint) / h
+    du = np.zeros_like(u) if dx is None else (1.0 - rho) / h * np.asarray(dx, dtype=np.float64)
+    s0_sq, s1_sq = task.sigma0 ** 2, task.sigma1 ** 2
+    if ds:
+        dvar_s = -2.0 * a_s * s0_sq + 2.0 * s * s1_sq
+        dX_ds = (task.mu1 - task.mu0) + rho * dvar_s / (2.0 * var_s) * centred
+        du = du + ds / h * (u - dX_ds)
+    if dt:
+        dvar_t = -2.0 * a_t * s0_sq + 2.0 * t * s1_sq
+        dX_dt = -rho * (task.mu1 - task.mu0) - rho * dvar_t / (2.0 * var_t) * centred
+        du = du - dt / h * (dX_dt + u)
+    return u, du, endpoint
 
 
 def integrate_flow(v, x: np.ndarray, t_from: float, t_to: float,
@@ -173,7 +184,6 @@ def average_velocity_oracle(v, x: np.ndarray, s: float, t: float,
 
 IDENTITIES = ("lsd", "esd", "ssd", "semigroup")
 SEMIGROUP_STEPS = 512  # RK4 steps of each solve the semigroup identity composes
-FD_H = 1e-4            # finite-difference step of the lsd and esd identities
 
 
 @dataclass
@@ -199,11 +209,9 @@ def check_identity(setting: str, task: GaussianTask, probes) -> IdentityReport:
     ``setting`` is one of ``IDENTITIES``.  Each probe is a tuple (x, s, t)
     with x finite of the task's shape (d,) and 0 <= s < t <= 1; the setting
     and every probe are checked before any probe runs.  The lsd, esd and ssd
-    identities use the closed-form map ``gaussian_flow_map``, u_{s,t}(x) =
-    (x - X_{s,t}(x)) / (t - s).  Derivatives of u in s and t are central
-    differences with step ``FD_H`` where the stencil stays in [0, 1], and
-    second-order one-sided differences at the ends, so every interval in
-    [0, 1] can be checked.  The semigroup identity composes ``SEMIGROUP_STEPS``-step
+    identities read u_{s,t}(x), its exact tangents and the map point from
+    ``gaussian_average_velocity``, so they hold to rounding on every interval
+    in [0, 1], ends included.  The semigroup identity composes ``SEMIGROUP_STEPS``-step
     RK4 solutions of the velocity field (``_gaussian_rk4``, which equals
     ``integrate_flow`` bit for bit), the reference independent of the
     closed form.
@@ -221,13 +229,6 @@ def check_identity(setting: str, task: GaussianTask, probes) -> IdentityReport:
         if not (0.0 <= s and t <= 1.0):
             raise ValueError("t outside [0, 1]")
 
-    v = lambda x, t: gaussian_velocity(task, x, t)
-
-    def u(x, s, t):
-        if s == t:
-            return v(x, t)
-        return (x - gaussian_flow_map(task, x, s, t)) / (t - s)
-
     report = IdentityReport(setting=setting)
     for x, s, t in probes:
         if setting == "semigroup":
@@ -238,23 +239,21 @@ def check_identity(setting: str, task: GaussianTask, probes) -> IdentityReport:
             via_mid = _gaussian_rk4(task, _gaussian_rk4(task, x, t, r, n), r, s, n)
             report.residuals.append(float(np.linalg.norm(direct - via_mid)))
             continue
-        u_st = u(x, s, t)
         if setting == "lsd":
             # u_{s,t}(x) = u_{s,s}(X_{s,t}(x)) + (t-s) d_s u_{s,t}(x)
-            endpoint = gaussian_flow_map(task, x, s, t)
-            du_ds = _derivative(lambda r: u(x, r, t), s, FD_H)
-            rhs = v(endpoint, s) + (t - s) * du_ds
+            u_st, du_ds, endpoint = gaussian_average_velocity(task, x, s, t, ds=1.0)
+            rhs = gaussian_velocity(task, endpoint, s) + (t - s) * du_ds
         elif setting == "esd":
             # u_{s,t}(x) = v_t(x) - (t-s)(grad u . v_t + d_t u)
-            vt = v(x, t)
-            jvp_x = (u(x + FD_H * vt, s, t) - u(x - FD_H * vt, s, t)) / (2.0 * FD_H)
-            du_dt = _derivative(lambda r: u(x, s, r), t, FD_H)
-            rhs = vt - (t - s) * (jvp_x + du_dt)
+            vt = gaussian_velocity(task, x, t)
+            u_st, du, _ = gaussian_average_velocity(task, x, s, t, dx=vt, dt=1.0)
+            rhs = vt - (t - s) * du
         else:
             # ssd: two-half-step composition with midpoint r = (s+t)/2
             r = 0.5 * (s + t)
-            u_rt = u(x, r, t)
+            u_st = gaussian_average_velocity(task, x, s, t)[0]
+            u_rt = gaussian_average_velocity(task, x, r, t)[0]
             x_mid = x - (t - s) / 2.0 * u_rt
-            rhs = 0.5 * u_rt + 0.5 * u(x_mid, s, r)
+            rhs = 0.5 * u_rt + 0.5 * gaussian_average_velocity(task, x_mid, s, r)[0]
         report.residuals.append(float(np.linalg.norm(u_st - rhs)))
     return report

@@ -147,6 +147,8 @@ class TextureSRTask:
     name = "texture_sr"
 
     def __init__(self, size: int = 16, opts: DegradeOpts | None = None):
+        if size not in (8, 16, 32):  # the sides ``gen_texture`` draws
+            raise ValueError(f"texture_sr size must be one of 8, 16, 32, got {size!r}")
         self.size = size
         self.opts = opts if opts is not None else DegradeOpts()
         self.state_dim = size * size

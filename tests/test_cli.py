@@ -291,6 +291,7 @@ class TestExitCodes:
         (TINY_CFG + "d_max = 54\n", "d_max"),
         (TINY_CFG + "p_fm = 1.0\n", "p_fm"),
         (TINY_CFG + "size = 12\n", "size"),  # a texture_sr key
+        (TINY_CFG.replace("gaussian2d", "texture_sr") + "size = 12\n", "size"),
     ])
     def test_unrunnable_plan_is_one(self, tmp_path, capsys, cfg_text, field):
         cfg = tmp_path / "cfg.ini"
@@ -299,6 +300,8 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(run)]) == 1
         assert field in capsys.readouterr().err
         assert not (run / "model.ckpt").exists()
+        if field == "size":  # refused while the task is built, before --out is made
+            assert not run.exists()
 
     def test_numeric_failure_is_two(self, tmp_path, monkeypatch):
         # force a non-finite loss immediately via an absurd learning rate

@@ -4,10 +4,11 @@ the committed set.
 `tools/hashset.txt` holds the 26 run hashes (metrics.csv and checkpoint
 bytes, eval_count) and the Gaussian oracle's residual hash, under `#` lines
 naming the numpy and BLAS builds that made them.  Under other builds the
-rounding may differ, so the test skips there; a deliberate change of
-training bytes regenerates the file with
-`python3 tools/hashset.py > tools/hashset.txt`, which leaves the oracle line
-as it is.
+rounding may differ, so the test skips there.  A deliberate change of
+training bytes or of the oracle's residuals is re-baselined by regenerating
+the file with `python3 tools/hashset.py > tools/hashset.txt`; `git diff`
+must then show only the lines the change meant to move (a change to the
+oracle alone moves the oracle line alone), and the commit names each one.
 """
 
 import difflib

@@ -8,13 +8,13 @@ import pytest
 from flowmaplab import autodiff as ad
 from flowmaplab.autodiff import Tensor
 from flowmaplab.interpolant import STANDARD, interpolate
-from flowmaplab.losses import (GuidanceContext, cfg_fm_target, cfg_sd_target,
+from flowmaplab.losses import (PLAIN, GuidanceContext, cfg_fm_target, cfg_sd_target,
                                combined_loss, draw_guidance, fm_loss,
                                perceptual_reg, perceptual_weight, rpgan_losses,
                                sd_target, two_step_prediction)
 from flowmaplab.nets import (COND_NEGATIVE, COND_NULL, COND_POSITIVE, Discriminator,
                              FlowMapModel, WeightNet)
-from flowmaplab.oracle import GaussianTask, average_velocity_oracle, gaussian_velocity
+from flowmaplab.oracle import GaussianTask, gaussian_average_velocity, gaussian_velocity
 from flowmaplab.schedule import GridTime, LSD, ESD, SSD, TimestepPair
 
 
@@ -27,39 +27,45 @@ def make_model(seed=0, dim=2, perturb=0.05):
 
 
 class OracleModel:
-    """Drop-in model backed by the exact Gaussian average velocity.
+    """Drop-in ``model(x, s, t, cond)`` backed by the closed-form Gaussian
+    average velocity, the velocity field on the diagonal.
 
-    Forward-mode tangents on (x, s, t) are honored by central differences of
-    the oracle, so the engine's directional derivatives stay meaningful.
+    Off the diagonal the output carries the exact tangent whenever x, s or t
+    carries one, so ``ad.jvp`` and the targets run on it unchanged.  The
+    condition is ignored: every branch is the task's own flow.
     """
 
     def __init__(self, task: GaussianTask):
         self.task = task
         self.eval_count = 0
 
-    def _u(self, xv, sv, tv):
-        v = lambda z, r: gaussian_velocity(self.task, z, r)
-        if sv == tv:
-            return v(xv, tv)
-        return np.stack([average_velocity_oracle(v, row, sv, tv, n_steps=128)
-                         for row in np.atleast_2d(xv)]).reshape(xv.shape)
-
     def __call__(self, x, s, t, cond, lora_scale=None):
         self.eval_count += 1
-        xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        sv = s.item() if isinstance(s, Tensor) else float(s)
-        tv = t.item() if isinstance(t, Tensor) else float(t)
-        dx = x.tangent if isinstance(x, Tensor) and x.tangent is not None else None
-        ds = float(s.tangent) if isinstance(s, Tensor) and s.tangent is not None else 0.0
-        dt = float(t.tangent) if isinstance(t, Tensor) and t.tangent is not None else 0.0
-        out = self._u(xv, sv, tv)
-        tangent = None
-        if dx is not None or ds != 0.0 or dt != 0.0:
-            dxv = np.zeros_like(xv) if dx is None else np.asarray(dx)
-            h = 1e-5
-            tangent = (self._u(xv + h * dxv, sv + h * ds, tv + h * dt)
-                       - self._u(xv - h * dxv, sv - h * ds, tv - h * dt)) / (2 * h)
-        return Tensor(out, tangent=tangent)
+        x, s, t = ad.as_tensor(x), ad.as_tensor(s), ad.as_tensor(t)
+        seeded = any(a.tangent is not None for a in (x, s, t))
+        if s.item() == t.item():
+            if seeded:
+                raise ValueError("the oracle model carries no tangent on the diagonal")
+            return Tensor(gaussian_velocity(self.task, x.data, t.item()))
+        u, du, _ = gaussian_average_velocity(
+            self.task, x.data, s.item(), t.item(), dx=x.tangent,
+            ds=0.0 if s.tangent is None else float(s.tangent),
+            dt=0.0 if t.tangent is None else float(t.tangent))
+        return Tensor(u, tangent=du if seeded else None)
+
+
+def _oracle_pairs(task, n, t, seed):
+    """(x0, x1) whose conditional velocity x1 - x0 is the marginal field v
+    at I_t: x0 = I_t - t v and x1 = I_t + (1 - t) v, I_t ~ N(0, 1.5^2)."""
+    x_t = np.random.default_rng(seed).normal(0.0, 1.5, size=(n, 2))
+    v = gaussian_velocity(task, x_t, t)
+    return x_t - t * v, x_t + (1.0 - t) * v
+
+
+def _intervals(n, seed):
+    """n seeded intervals 0.01 <= s < t <= 0.99."""
+    pairs = np.sort(np.random.default_rng(seed).uniform(0.01, 0.99, size=(n, 2)), axis=1)
+    return [(float(s), float(t)) for s, t in pairs]
 
 
 def _pair(s_k, t_k, d):
@@ -121,32 +127,23 @@ class TestSdTargets:
     TASK = GaussianTask(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]),
                         sigma0=0.6, sigma1=1.2)
 
-    def _consistent_pairs(self, n, t, seed):
-        # choose x0 so that the conditional velocity x1 - x0 coincides with
-        # the marginal field at I_t; then the targets match u pointwise
-        rng = np.random.default_rng(seed)
-        x1 = self.TASK.mu1 + self.TASK.sigma1 * rng.standard_normal((n, 2))
-        x0 = np.tile(self.TASK.mu0, (n, 1))
-        for _ in range(200):
-            x_t = (1 - t) * x0 + t * x1
-            x0 = x1 - gaussian_velocity(self.TASK, x_t, t)
-        return x0, x1
-
-    # the Lagrangian target anchors its velocity term at time t rather than
-    # at the flowed-back endpoint, so it is a fixed point only in conditional
-    # expectation; the pointwise check below applies to the other two
-    @pytest.mark.parametrize("setting", [ESD, SSD])
+    @pytest.mark.parametrize("setting", [
+        pytest.param(LSD, marks=pytest.mark.xfail(strict=True, reason=(
+            "the Lagrangian target reads the velocity at (I_t, t), not at the map point "
+            "X_{s,t}(I_t) (losses.py:106; ROADMAP 'Fix the Lagrangian target')"))),
+        ESD, SSD])
     def test_oracle_model_fixed_point(self, setting):
-        # the exact average velocity is a fixed point: target == u_{s,t}(I_t)
+        # the exact average velocity is a fixed point of every target:
+        # target == u_{s,t}(I_t) on 200 intervals in [0.01, 0.99]
         model = OracleModel(self.TASK)
-        s, t = 0.25, 0.75
-        x0, x1 = self._consistent_pairs(4, t, seed=4)
-        target = sd_target(setting, model, x0, x1, s, t)
-        x_t = interpolate(x0, x1, t)
-        with ad.no_grad():
-            u = model(x_t, s, t, COND_NULL)
-        tol = 1e-6 if setting == SSD else 1e-3  # fd/jvp via rk4 for the others
-        np.testing.assert_allclose(target.data, u.data, atol=tol)
+        worst = 0.0
+        for i, (s, t) in enumerate(_intervals(200, seed=4)):
+            x0, x1 = _oracle_pairs(self.TASK, 4, t, seed=i)
+            target = sd_target(setting, model, x0, x1, s, t)
+            with ad.no_grad():
+                u = model(interpolate(x0, x1, t), s, t, COND_NULL)
+            worst = max(worst, float(np.max(np.abs(target.data - u.data))))
+        assert worst < 1e-10
 
     @pytest.mark.parametrize("setting", [LSD, ESD])
     def test_target_formula_against_manual_fd(self, setting):
@@ -223,6 +220,15 @@ class TestCfgTargets:
     def _data(self, seed=12, n=4):
         rng = np.random.default_rng(seed)
         return rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+
+    def test_plain_fm_target_is_the_oracle_velocity(self):
+        task, model = TestSdTargets.TASK, OracleModel(TestSdTargets.TASK)
+        for i, t in enumerate(np.random.default_rng(5).uniform(0.01, 0.99, size=50)):
+            x0, x1 = _oracle_pairs(task, 4, float(t), seed=i)
+            got = cfg_fm_target(model, x0, x1, t, PLAIN)
+            with ad.no_grad():
+                u = model(interpolate(x0, x1, t), t, t, COND_NULL)
+            np.testing.assert_allclose(got.data, u.data, rtol=0, atol=1e-10)
 
     def test_fm_unit_scale_reduces_to_plain(self):
         model = make_model(13)

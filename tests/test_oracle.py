@@ -7,7 +7,7 @@ import pytest
 
 from flowmaplab import oracle
 from flowmaplab.oracle import (GaussianTask, _gaussian_rk4, average_velocity_oracle,
-                               check_identity, gaussian_flow_map, gaussian_velocity,
+                               check_identity, gaussian_average_velocity, gaussian_velocity,
                                integrate_flow)
 
 GOOD = dict(mu0=np.array([1.0, -1.0]), mu1=np.array([-1.0, 1.0]), sigma0=0.6, sigma1=1.2)
@@ -84,16 +84,71 @@ def test_closed_form_map_matches_rk4():
         intervals.append((s, float(rng.uniform(s + 0.05, 1.0))))
     for s, t in intervals:
         x = rng.normal(0.0, 1.5, size=(4, 2))
-        np.testing.assert_allclose(gaussian_flow_map(TASK, x, s, t),
-                                   integrate_flow(v, x, t, s), rtol=0, atol=1e-10)
-        np.testing.assert_allclose((x - gaussian_flow_map(TASK, x, s, t)) / (t - s),
-                                   average_velocity_oracle(v, x, s, t), rtol=0, atol=1e-10)
+        u, _, endpoint = gaussian_average_velocity(TASK, x, s, t)
+        np.testing.assert_allclose(endpoint, integrate_flow(v, x, t, s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(u, average_velocity_oracle(v, x, s, t), rtol=0, atol=1e-10)
+        assert u.tobytes() == ((x - endpoint) / (t - s)).tobytes()
 
 
 @pytest.mark.parametrize("s,t", [(-1e-9, 0.5), (0.5, 1.0 + 1e-9)])
 def test_closed_form_map_rejects_times_outside_unit_interval(s, t):
     with pytest.raises(ValueError, match=r"^t outside \[0, 1\]$"):
-        gaussian_flow_map(TASK, np.zeros(2), s, t)
+        gaussian_average_velocity(TASK, np.zeros(2), s, t, ds=1.0)
+
+
+@pytest.mark.parametrize("s,t", [(0.5, 0.5), (0.6, 0.5), (1.0, 1.0)])
+def test_closed_form_map_refuses_an_empty_interval(s, t):
+    with pytest.raises(ValueError, match=r"^need s < t"):
+        gaussian_average_velocity(TASK, np.zeros(2), s, t, dt=1.0)
+
+
+FD_H = 1e-5  # finite-difference step of the closed-form tangent checks
+
+
+def _derivative(f, r: float, h: float = FD_H) -> np.ndarray:
+    """df/dr at r with step h: central where r +- h stays in [0, 1], else the
+    second-order one-sided stencil pointing into the interval."""
+    if r - h >= 0.0 and r + h <= 1.0:
+        return (f(r + h) - f(r - h)) / (2.0 * h)
+    if r - h < 0.0:
+        return (-3.0 * f(r) + 4.0 * f(r + h) - f(r + 2.0 * h)) / (2.0 * h)
+    return (3.0 * f(r) - 4.0 * f(r - h) + f(r - 2.0 * h)) / (2.0 * h)
+
+
+def _fd_tangent(x, s, t, dx, ds, dt) -> np.ndarray:
+    """Finite differences of the closed-form u_{s,t}(x) along (dx, ds, dt):
+    central in x, and in s and t as ``_derivative``, summed over the three."""
+    u = lambda x, s, t: gaussian_average_velocity(TASK, x, s, t)[0]
+    out = np.zeros_like(x)
+    if dx is not None:
+        out += (u(x + FD_H * dx, s, t) - u(x - FD_H * dx, s, t)) / (2.0 * FD_H)
+    if ds:
+        out += ds * _derivative(lambda r: u(x, r, t), s)
+    if dt:
+        out += dt * _derivative(lambda r: u(x, s, r), t)
+    return out
+
+
+@pytest.mark.parametrize("s,t", [(0.2, 0.7), (0.05, 0.95), (0.4, 0.5), (0.8, 0.9),
+                                 (0.0, 0.5), (0.0, 1.0), (0.5, 1.0)])
+@pytest.mark.parametrize("along", ["dx", "ds", "dt", "all"])
+def test_closed_form_tangents_match_finite_differences(s, t, along):
+    # interior intervals, then the end intervals of the identity checks,
+    # where the s or t stencil is one-sided
+    rng = np.random.default_rng(7)
+    x, w = rng.normal(0.0, 1.5, size=(2, 4, 2))
+    dx = w if along in ("dx", "all") else None
+    ds = -0.7 if along in ("ds", "all") else 0.0
+    dt = 1.3 if along in ("dt", "all") else 0.0
+    u, du, _ = gaussian_average_velocity(TASK, x, s, t, dx=dx, ds=ds, dt=dt)
+    assert u.tobytes() == gaussian_average_velocity(TASK, x, s, t)[0].tobytes()
+    want = _fd_tangent(x, s, t, dx, ds, dt)
+    assert np.max(np.abs(du - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
+def test_closed_form_tangent_is_zero_along_no_direction():
+    x = np.array([[0.5, -0.25], [1.0, 2.0]])
+    assert not gaussian_average_velocity(TASK, x, 0.3, 0.6)[1].any()
 
 
 def test_average_velocity_rejects_bad_interval():
@@ -103,7 +158,7 @@ def test_average_velocity_rejects_bad_interval():
 
 
 @pytest.mark.parametrize("setting,tol", [
-    ("lsd", 1e-5), ("esd", 1e-5), ("ssd", 1e-10), ("semigroup", 1e-10),
+    ("lsd", 1e-12), ("esd", 1e-12), ("ssd", 1e-10), ("semigroup", 1e-10),
 ])
 def test_identities_hold_on_true_flow(setting, tol):
     report = check_identity(setting, TASK, _probes(8))
@@ -111,11 +166,11 @@ def test_identities_hold_on_true_flow(setting, tol):
 
 
 @pytest.mark.parametrize("setting,s,t,tol", [
-    ("lsd", 0.0, 0.5, 1e-3), ("lsd", 0.0, 1.0, 1e-3), ("esd", 0.5, 1.0, 1e-3),
-    ("esd", 0.0, 1.0, 1e-3), ("ssd", 0.0, 1.0, 1e-3), ("semigroup", 0.0, 1.0, 1e-5),
+    ("lsd", 0.0, 0.5, 1e-12), ("lsd", 0.0, 1.0, 1e-12), ("esd", 0.5, 1.0, 1e-12),
+    ("esd", 0.0, 1.0, 1e-12), ("ssd", 0.0, 1.0, 1e-3), ("semigroup", 0.0, 1.0, 1e-5),
 ])
 def test_identities_hold_on_end_intervals(setting, s, t, tol):
-    # one-sided differences where the central stencil would leave [0, 1]
+    # the exact tangents hold at s = 0 and t = 1 as well as inside
     report = check_identity(setting, TASK, [(np.array([0.5, -0.25]), s, t)])
     assert report.max_residual < tol
 
@@ -166,7 +221,7 @@ def test_task_refuses_bad_parameter_by_name(name, value):
 def test_identity_check_refuses_bad_input_before_any_probe(monkeypatch, setting, bad, message):
     def ran(*args, **kwargs):
         raise AssertionError("a probe ran")
-    for name in ("gaussian_velocity", "gaussian_flow_map", "_gaussian_rk4"):
+    for name in ("gaussian_velocity", "gaussian_average_velocity", "_gaussian_rk4"):
         monkeypatch.setattr(oracle, name, ran)
     # a good probe first: the refusal must come before it runs
     probes = [] if bad == "none" else [(np.zeros(2), 0.2, 0.6)] + ([bad] if bad else [])

@@ -10,7 +10,11 @@ and `diff` the outputs; equal lines mean byte-identical training.
 The last line is the Gaussian oracle: the sha256 of the float64
 `check_identity` residuals for lsd, esd, ssd and semigroup on a fixed probe
 set, and the number of residuals.  `tools/hashset.txt` is the committed
-output, and `tests/test_hashset.py` holds the running code to it.
+output, and `tests/test_hashset.py` holds the running code to it.  A
+deliberate change is re-baselined by regenerating the file with
+`python3 tools/hashset.py > tools/hashset.txt`; `git diff` must then show
+only the lines it meant to move: the oracle line alone for a change to the
+oracle, run lines alone for a change to training.
 
 The runs:
   * 12 adapter-free tiny runs (`adv_steps = d_pretrain_steps = 0`) and the
