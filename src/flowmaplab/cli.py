@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import DegradeOpts, dump_corpus, save_pgm
+from .data import TEXTURE_SIZES, DegradeOpts, dump_corpus, save_pgm
 from .nets import COND_NAMES
 from .oracle import IDENTITIES, check_identity
 from .runtime import (GAUSSIAN_2D, PhasePlan, SamplerConfig, TextureSRTask, TrainAbort,
@@ -45,10 +45,10 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
-# configparser getter for each scalar PhasePlan field, by its annotation
-_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean"}
-_SCALAR_FIELDS = {f.name: _GETTERS[f.type] for f in dataclasses.fields(PhasePlan)
-                  if f.type in _GETTERS}
+# configparser getter for each scalar field of PhasePlan and GridConfig, by its annotation
+_GETTERS = {"int": "getint", "float": "getfloat", "str": "get"}
+_PLAN_KEYS, _GRID_KEYS = ({f.name: _GETTERS[f.type] for f in dataclasses.fields(cls)
+                           if f.type in _GETTERS} for cls in (PhasePlan, GridConfig))
 
 
 def _train_section(cp: configparser.ConfigParser) -> configparser.SectionProxy:
@@ -64,22 +64,18 @@ def _train_section(cp: configparser.ConfigParser) -> configparser.SectionProxy:
 
 
 def plan_from_config(cp: configparser.ConfigParser) -> PhasePlan:
-    plan = PhasePlan()
+    """The plan, grid included, that the ``[train]`` keys set; it checks
+    itself as it is made."""
     sec = _train_section(cp)
+    plan, grid = {}, {}
     for key in sec:
-        if key in _SCALAR_FIELDS:
-            setattr(plan, key, getattr(sec, _SCALAR_FIELDS[key])(key))
-        elif key == "setting":
-            plan.setting = sec[key]  # train refuses an unknown one
-        elif key == "d_max":
-            plan.grid = GridConfig(d_max=sec.getint(key), p_fm=plan.grid.p_fm)
-        elif key == "p_fm":
-            plan.grid = GridConfig(d_max=plan.grid.d_max, p_fm=sec.getfloat(key))
-        elif key in ("task", "size"):
-            pass  # consumed by task_from_config
-        else:
+        if key in _PLAN_KEYS:
+            plan[key] = getattr(sec, _PLAN_KEYS[key])(key)
+        elif key in _GRID_KEYS:
+            grid[key] = getattr(sec, _GRID_KEYS[key])(key)
+        elif key not in ("task", "size"):  # those are task_from_config's
             raise ValueError(f"unknown [train] key {key!r}")
-    return plan
+    return PhasePlan(**plan, grid=GridConfig(**grid))
 
 
 def task_from_config(cp: configparser.ConfigParser):
@@ -229,7 +225,7 @@ def build_parser() -> _Parser:
     pg = sub.add_parser("gen-data", help="write a degraded-pair image corpus")
     pg.add_argument("--out", required=True)
     pg.add_argument("--n", type=int, default=16)
-    pg.add_argument("--size", type=int, default=16, choices=[8, 16, 32])
+    pg.add_argument("--size", type=int, default=16, choices=TEXTURE_SIZES)
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(fn=_cmd_gen_data)
     return p

@@ -20,6 +20,7 @@ BLUR_PROB = 0.8          # chance of the first blur
 NOISE_STD_MAX = 0.02     # gaussian noise branch: std ~ U(0, NOISE_STD_MAX)
 SHOT_NOISE_SCALE = 0.02  # intensity-scaled noise branch
 QUANT_LEVELS = 32        # the quantizer that stands in for compression
+TEXTURE_SIZES = (8, 16, 32)  # the image sides ``gen_texture`` draws
 
 
 @dataclass
@@ -84,8 +85,8 @@ def gen_texture(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 
     Returns shape (n, size, size).
     """
-    if size not in (8, 16, 32):
-        raise ValueError("size must be one of 8, 16, 32")
+    if size not in TEXTURE_SIZES:
+        raise ValueError(f"size must be one of {TEXTURE_SIZES}, got {size!r}")
     if n < 1:
         raise ValueError(f"batch size n must be >= 1, got {n}")
     # per texture: the wave count k, then one block of its 4k wave and 3

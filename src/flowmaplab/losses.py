@@ -147,9 +147,10 @@ def cfg_fm_target(model, x0: np.ndarray, x1: np.ndarray, t: float,
                   ctx: GuidanceContext) -> Tensor:
     """w * v_target + (1 - w) * u_{t,t}(I_t | negative); detached.
 
-    A dropped context or w = 1 gives the plain target v_target."""
+    w = 1 gives the plain target v_target; a dropped context always has
+    w = 1."""
     v_t = target_velocity(x0, x1, t)
-    if ctx.dropped or ctx.w == 1.0:
+    if ctx.w == 1.0:
         return ad.stop_gradient(Tensor(v_t))
     x_t = interpolate(x0, x1, t)
     return ad.stop_gradient(Tensor(_guided_velocity(model, x_t, v_t, t, ctx.w)))
@@ -164,8 +165,9 @@ def cfg_sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
     Extra model evaluations versus the unconditional target: two in the
     Lagrangian setting (u_neg at its own map point), one in the Eulerian
     setting (u_neg on the diagonal), none in the Shortcut setting (reads no
-    velocity).  A dropped context gives the plain target on the negative
-    branch, and w = 1 the plain target on ``ctx.cond``.
+    velocity).  w = 1 gives the plain target on ``ctx.cond``; a dropped
+    context always has w = 1, so it gives the plain target on the negative
+    branch.
 
     ``interpolant`` must be ``STANDARD``; it stays for perfbench's positional call.
     """
@@ -174,7 +176,7 @@ def cfg_sd_target(setting: str, model, x0: np.ndarray, x1: np.ndarray,
     _check_interval(setting, s, t)
     x_t = interpolate(x0, x1, t)
     v = target_velocity(x0, x1, t)
-    if not (ctx.dropped or ctx.w == 1.0 or setting == SSD):
+    if ctx.w != 1.0 and setting != SSD:
         v = _guided_velocity(model, x_t, v, t, ctx.w, s if setting == LSD else None)
     return _consistency_target(setting, model, x_t, v, s, t, ctx.cond)
 
@@ -272,14 +274,11 @@ def two_step_prediction(model, x1: np.ndarray, cond: int) -> Tensor:
 
 def rpgan_losses(model, disc, x0: np.ndarray, x1: np.ndarray,
                  ctx: GuidanceContext, lambda_adv: float,
-                 weightnet=None, pair: TimestepPair | None = None,
-                 setting: str = SSD,
-                 x0_neg: np.ndarray | None = None,
-                 image_hw: tuple | None = None,
-                 use_perceptual: bool = True):
+                 objective: Tensor | None = None):
     """Relativistic paired generator/discriminator losses.
 
-    g_loss = softplus(D(fake) - D(real)) + lambda_adv * combined objective;
+    g_loss = softplus(D(fake) - D(real)), plus lambda_adv * ``objective``
+    (the caller's combined objective) when it is given and lambda_adv > 0;
     d_loss = softplus(D(real) - D(sg(fake))).  The fake is a two-step
     flow-map prediction from x1.
     """
@@ -288,14 +287,9 @@ def rpgan_losses(model, disc, x0: np.ndarray, x1: np.ndarray,
 
     d_fake = disc(fake)
     d_real = disc(real)
-    g_adv = ad.mean(ad.softplus(ad.sub(d_fake, d_real)))
-
-    g_loss = g_adv
-    if weightnet is not None and pair is not None and lambda_adv > 0.0:
-        breakdown = combined_loss(model, weightnet, x0, x1, pair, setting,
-                                  ctx=ctx, x0_neg=x0_neg, image_hw=image_hw,
-                                  use_perceptual=use_perceptual)
-        g_loss = ad.add(g_adv, ad.mul(breakdown.weighted_total, lambda_adv))
+    g_loss = ad.mean(ad.softplus(ad.sub(d_fake, d_real)))
+    if objective is not None and lambda_adv > 0.0:
+        g_loss = ad.add(g_loss, ad.mul(objective, lambda_adv))
 
     return g_loss, disc_loss(disc, d_real, fake)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DegradeOpts, PairBatch, texture_pairs
+from .data import TEXTURE_SIZES, DegradeOpts, PairBatch, texture_pairs
 from .interpolant import STANDARD
 from .io import load_checkpoint, save_checkpoint
 from .losses import (combined_loss, disc_loss, draw_guidance, fm_loss, rpgan_losses,
@@ -33,9 +33,10 @@ METRICS_HEADER = ["step", "phase", "loss_main", "loss_perc", "loss_weighted",
 # -- configuration --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhasePlan:
-    """Hyperparameters and the four-phase step schedule."""
+    """Hyperparameters and the four-phase step schedule.  A plan that
+    ``train`` cannot run is refused when it is made, naming the field."""
 
     fm_steps: int = 2000
     fmsd_steps: int = 2000
@@ -58,7 +59,32 @@ class PhasePlan:
     depth: int = 4
     time_dim: int = 32
     cond_dim: int = 16
-    use_perceptual: bool = True
+
+    def __post_init__(self):
+        for name in ("fm_steps", "fmsd_steps", "cfg_steps", "d_pretrain_steps", "adv_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.adv_steps > 0 and self.lora_rank < 1:
+            raise ValueError(f"lora_rank must be >= 1 when adv_steps > 0, got {self.lora_rank}")
+        if self.setting not in SETTINGS:
+            raise ValueError(f"setting must be one of {', '.join(SETTINGS)}, "
+                             f"got {self.setting!r}")
+        for name in ("lr_model", "lr_weightnet", "lr_disc"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("drop_prob", "lr_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not (math.isfinite(self.w_max) and self.w_max >= 1.0):
+            raise ValueError(f"w_max must be finite and >= 1, got {self.w_max}")
+        if not (math.isfinite(self.lambda_adv) and self.lambda_adv >= 0.0):
+            raise ValueError(f"lambda_adv must be finite and >= 0, got {self.lambda_adv}")
+        if not math.isfinite(self.lora_train_scale):
+            raise ValueError(f"lora_train_scale must be finite, got {self.lora_train_scale}")
+        check_sizes(hidden=self.hidden, depth=self.depth, time_dim=self.time_dim,
+                    cond_dim=self.cond_dim)
 
 
 @dataclass(frozen=True)
@@ -147,8 +173,8 @@ class TextureSRTask:
     name = "texture_sr"
 
     def __init__(self, size: int = 16, opts: DegradeOpts | None = None):
-        if size not in (8, 16, 32):  # the sides ``gen_texture`` draws
-            raise ValueError(f"texture_sr size must be one of 8, 16, 32, got {size!r}")
+        if size not in TEXTURE_SIZES:
+            raise ValueError(f"texture_sr size must be one of {TEXTURE_SIZES}, got {size!r}")
         self.size = size
         self.opts = opts if opts is not None else DegradeOpts()
         self.state_dim = size * size
@@ -264,36 +290,10 @@ class TrainResult:
         return buf.getvalue()
 
 
-def _check_plan(plan: PhasePlan) -> None:
-    """Refuse, naming the field, a plan that ``train`` cannot run as written."""
-    for name in ("fm_steps", "fmsd_steps", "cfg_steps", "d_pretrain_steps", "adv_steps"):
-        if getattr(plan, name) < 0:
-            raise ValueError(f"{name} must be >= 0, got {getattr(plan, name)}")
-    if plan.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {plan.batch_size}")
-    if plan.adv_steps > 0 and plan.lora_rank < 1:
-        raise ValueError(f"lora_rank must be >= 1 when adv_steps > 0, got {plan.lora_rank}")
-    if plan.setting not in SETTINGS:
-        raise ValueError(f"setting must be one of {', '.join(SETTINGS)}, "
-                         f"got {plan.setting!r}")
-    for name in ("lr_model", "lr_weightnet", "lr_disc"):
-        if not (math.isfinite(getattr(plan, name)) and getattr(plan, name) > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {getattr(plan, name)}")
-    for name in ("drop_prob", "lr_floor"):
-        if not 0.0 <= getattr(plan, name) <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {getattr(plan, name)}")
-    if not (math.isfinite(plan.w_max) and plan.w_max >= 1.0):
-        raise ValueError(f"w_max must be finite and >= 1, got {plan.w_max}")
-    if not (math.isfinite(plan.lambda_adv) and plan.lambda_adv >= 0.0):
-        raise ValueError(f"lambda_adv must be finite and >= 0, got {plan.lambda_adv}")
-    if not math.isfinite(plan.lora_train_scale):
-        raise ValueError(f"lora_train_scale must be finite, got {plan.lora_train_scale}")
-    check_sizes(hidden=plan.hidden, depth=plan.depth, time_dim=plan.time_dim,
-                cond_dim=plan.cond_dim)
-
-
 def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     """Run the four phases and return the trained components plus metrics.
+
+    ``plan`` checked itself when it was made, so nothing here refuses it.
 
     Each step is one call that returns its metrics row, so every Tensor it
     builds (loss, breakdown, fake and their tapes) dies when it returns;
@@ -303,7 +303,6 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     both are frozen through phase 4, so no backward computes or keeps
     their gradients there.
     """
-    _check_plan(plan)
     rng = np.random.default_rng(seed)
     model = FlowMapModel(task.state_dim, hidden=plan.hidden, depth=plan.depth,
                          time_dim=plan.time_dim, cond_dim=plan.cond_dim,
@@ -333,7 +332,7 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
 
     # the low-pass surrogate is an image-domain regularizer; skip it for
     # vector tasks where a 2x pool has no spatial meaning
-    use_perc = plan.use_perceptual and task.image_hw is not None
+    use_perc = task.image_hw is not None
 
     def fm_step() -> list:
         """Phase 1: flow matching on a diagonal pair at the finest grid."""
@@ -376,13 +375,15 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
             d_loss = disc_loss(disc, disc(Tensor(batch.x0)), fake)
         else:
             pair = sample_pair(plan.setting, plan.grid, rng)
-            g_loss, d_loss = rpgan_losses(
-                model, disc, batch.x0, batch.x1, ctx, plan.lambda_adv,
-                weightnet=weightnet, pair=pair, setting=plan.setting,
-                x0_neg=batch.x0_neg, image_hw=task.image_hw, use_perceptual=use_perc)
+            objective = combined_loss(
+                model, weightnet, batch.x0, batch.x1, pair, plan.setting, ctx=ctx,
+                x0_neg=batch.x0_neg, image_hw=task.image_hw,
+                use_perceptual=use_perc).weighted_total if plan.lambda_adv > 0.0 else None
+            g_loss, d_loss = rpgan_losses(model, disc, batch.x0, batch.x1, ctx,
+                                          plan.lambda_adv, objective)
             update(g_loss, "adv", opt_lora)
             g_cell = _fmt(g_loss.item())
-            del g_loss  # frees the generator tape: d_loss does not reach it
+            del g_loss, objective  # frees the generator tape: d_loss does not reach it
         update(d_loss, "adv", opt_disc)
         return [str(step), "adv", "", "", "", "", g_cell, _fmt(d_loss.item())]
 

@@ -13,12 +13,12 @@ import pytest
 
 from flowmaplab import autodiff as ad
 from flowmaplab.autodiff import Tensor
-from flowmaplab.interpolant import STANDARD, interpolate
+from flowmaplab.interpolant import STANDARD
 from flowmaplab.losses import (GuidanceContext, cfg_fm_target, cfg_sd_target,
                                combined_loss, draw_guidance, perceptual_weight,
                                rpgan_losses, sd_target)
-from flowmaplab.nets import (COND_NEGATIVE, COND_NULL, COND_POSITIVE, Discriminator,
-                             FlowMapModel, WeightNet)
+from flowmaplab.nets import (COND_NULL, COND_POSITIVE, Discriminator, FlowMapModel,
+                             WeightNet)
 from flowmaplab.oracle import (GaussianTask, average_velocity_oracle, check_identity,
                                gaussian_velocity, integrate_flow)
 from flowmaplab.runtime import (Gaussian2DTask, PhasePlan, SamplerConfig,

@@ -229,12 +229,13 @@ class TestExitCodes:
         assert rc == 1
 
     def test_every_scalar_plan_field_is_read(self):
-        # a value off each scalar field's default, typed as its annotation
-        off = {"int": lambda v: v + 1, "float": lambda v: v / 2,
-               "bool": lambda v: not v}
+        # a value off each scalar field's default that a plan accepts, typed
+        # as its annotation (+2 keeps time_dim even)
+        off = {"int": lambda v: v + 2, "float": lambda v: v / 2, "str": lambda v: "esd"}
         want = {f.name: off[f.type](f.default) for f in dataclasses.fields(PhasePlan)
                 if f.type in off}
-        assert {"lr_floor", "use_perceptual", "fm_steps", "w_max"} <= set(want)
+        assert {"lr_floor", "setting", "fm_steps", "w_max"} <= set(want)
+        assert want["setting"] != PhasePlan().setting
         cp = configparser.ConfigParser()
         cp.read_string("[train]\n" + "".join(f"{k} = {v}\n" for k, v in want.items()))
         plan = plan_from_config(cp)
@@ -299,9 +300,7 @@ class TestExitCodes:
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run)]) == 1
         assert field in capsys.readouterr().err
-        assert not (run / "model.ckpt").exists()
-        if field == "size":  # refused while the task is built, before --out is made
-            assert not run.exists()
+        assert not run.exists()  # refused before --out is made
 
     def test_numeric_failure_is_two(self, tmp_path, monkeypatch):
         # force a non-finite loss immediately via an absurd learning rate

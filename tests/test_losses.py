@@ -489,3 +489,13 @@ class TestAdversarial:
             lambda_adv=0.0)
         g = ad.grad(g_loss, model.trainable_params())
         assert np.any(g[f"layer{model.depth}.W"] != 0.0)
+
+    def test_objective_enters_g_loss_only_with_positive_weight(self):
+        model, disc, x0, x1 = self._setup(34)
+        ctx = GuidanceContext(w=1.0, w_max=3.5, cond=COND_NULL)
+        g_adv = rpgan_losses(model, disc, x0, x1, ctx, lambda_adv=0.0)[0].item()
+        objective = Tensor(2.0)
+        assert rpgan_losses(model, disc, x0, x1, ctx, 0.0, objective)[0].item() == g_adv
+        np.testing.assert_allclose(
+            rpgan_losses(model, disc, x0, x1, ctx, 0.25, objective)[0].item(),
+            g_adv + 0.5, rtol=1e-14)

@@ -1,5 +1,6 @@
 """Trainer phases, optimizer, sampler, metrics, and persistence."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -103,13 +104,16 @@ class TestTrainLoop:
         (dict(lora_train_scale=float("nan")), "lora_train_scale"),
         (dict(lora_train_scale=float("inf")), "lora_train_scale"),
     ])
-    def test_refuses_plans_it_cannot_run(self, over, field, monkeypatch):
-        # refused before the first batch draw, so no phase runs first
-        drawn = []
-        monkeypatch.setattr(Gaussian2DTask, "sample", lambda *a, **k: drawn.append(1))
+    def test_refuses_plans_it_cannot_run(self, over, field):
+        # a plan that train cannot run cannot be made
         with pytest.raises(ValueError, match=field):
-            train(tiny_plan(**over), Gaussian2DTask(), seed=0)
-        assert drawn == []
+            tiny_plan(**over)
+
+    def test_plan_is_frozen(self):
+        # a made plan stays the checked one
+        plan = tiny_plan()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.fm_steps = -3
 
     def test_gaussian_endpoints_are_read_only(self):
         # every Gaussian2DTask, and oracle-check, share the GAUSSIAN_2D arrays
