@@ -129,7 +129,6 @@ class FlowMapModel:
         self.cond_dim = cond_dim
         self.eval_count = 0
         self.lora = None
-        self.lora_train_scale = 1.0
 
         in_dim = state_dim + 2 * time_dim + cond_dim
         dims = [in_dim] + [hidden] * depth + [state_dim]
@@ -172,14 +171,16 @@ class FlowMapModel:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, x, s, t, cond: int, lora_scale: float | None = None) -> Tensor:
+    def forward(self, x, s, t, cond: int, lora_scale: float = 1.0) -> Tensor:
         """u_{s,t}(x | cond) for a batch x of shape (n, state_dim).
 
         ``s`` and ``t`` may be floats or scalar Tensors carrying tangents
-        (but not on the tape).  Requires s <= t.  Layer 0 takes x and the
-        context row concat(embed(s), embed(t), cond row) apart: x meets
-        the first state_dim rows of its weight, the context row the rest,
-        once for the whole batch.
+        (but not on the tape).  Requires s <= t.  Adapters enter at
+        ``lora_scale``; training uses the default, and the model keeps no
+        scale of its own.  Layer 0 takes x and the context row
+        concat(embed(s), embed(t), cond row) apart: x meets the first
+        state_dim rows of its weight, the context row the rest, once for
+        the whole batch.
         """
         sv = s.item() if isinstance(s, Tensor) else float(s)
         tv = t.item() if isinstance(t, Tensor) else float(t)
@@ -196,14 +197,13 @@ class FlowMapModel:
 
         ctx = ad.concat([time_embed(s, self.time_dim), time_embed(t, self.time_dim),
                          self.params["cond.table"][cond]], axis=0)
-        gamma = self.lora_train_scale if lora_scale is None else lora_scale
         h = x
         for i in range(self.depth + 1):
             B = A = None
             if self.lora is not None:
                 B, A = self.lora[i].B, self.lora[i].A
             h = ad.linear(h, self.params[f"layer{i}.W"], self.params[f"layer{i}.b"],
-                          silu=i < self.depth, B=B, A=A, gamma=gamma,
+                          silu=i < self.depth, B=B, A=A, gamma=lora_scale,
                           ctx=ctx if i == 0 else None)
         return h
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io as _io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,9 @@ METRICS_HEADER = ["step", "phase", "loss_main", "loss_perc", "loss_weighted",
 
 @dataclass(frozen=True)
 class PhasePlan:
-    """Hyperparameters and the four-phase step schedule.  A plan that
-    ``train`` cannot run is refused when it is made, naming the field."""
+    """The step schedule and the values a run may set; the rest of the
+    recipe is fixed (``LR_WEIGHTNET`` ... ``GRID``).  A plan that ``train``
+    cannot run is refused when it is made, naming the field."""
 
     fm_steps: int = 2000
     fmsd_steps: int = 2000
@@ -44,17 +45,10 @@ class PhasePlan:
     adv_steps: int = 1000
     d_pretrain_steps: int = 100
     lr_model: float = 1e-3
-    lr_weightnet: float = 1e-4
-    lr_disc: float = 2.5e-3
     batch_size: int = 256
-    w_max: float = 3.5
-    lambda_adv: float = 0.1
     lora_rank: int = 4
-    lora_train_scale: float = 1.0
     drop_prob: float = 0.10
-    lr_floor: float = 0.05  # cosine decay down to this fraction of the base lr
     setting: str = SSD
-    grid: GridConfig = field(default_factory=GridConfig)
     hidden: int = 256
     depth: int = 4
     time_dim: int = 32
@@ -71,18 +65,10 @@ class PhasePlan:
         if self.setting not in SETTINGS:
             raise ValueError(f"setting must be one of {', '.join(SETTINGS)}, "
                              f"got {self.setting!r}")
-        for name in ("lr_model", "lr_weightnet", "lr_disc"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("drop_prob", "lr_floor"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not (math.isfinite(self.w_max) and self.w_max >= 1.0):
-            raise ValueError(f"w_max must be finite and >= 1, got {self.w_max}")
-        if not (math.isfinite(self.lambda_adv) and self.lambda_adv >= 0.0):
-            raise ValueError(f"lambda_adv must be finite and >= 0, got {self.lambda_adv}")
-        if not math.isfinite(self.lora_train_scale):
-            raise ValueError(f"lora_train_scale must be finite, got {self.lora_train_scale}")
+        if not (math.isfinite(self.lr_model) and self.lr_model > 0.0):
+            raise ValueError(f"lr_model must be finite and > 0, got {self.lr_model}")
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ValueError(f"drop_prob must lie in [0, 1], got {self.drop_prob}")
         check_sizes(hidden=self.hidden, depth=self.depth, time_dim=self.time_dim,
                     cond_dim=self.cond_dim)
 
@@ -106,6 +92,13 @@ class SamplerConfig:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the fixed recipe: weighting-head and discriminator lrs, the cosine decay's
+# floor (a fraction of each base lr), the largest guidance scale, the weight
+# of the combined objective in the adversarial generator loss, and the grid
+LR_WEIGHTNET, LR_DISC, LR_FLOOR = 1e-4, 2.5e-3, 0.05
+W_MAX = 3.5
+LAMBDA_ADV = 0.1
+GRID = GridConfig()
 
 
 class AdamW:
@@ -312,13 +305,13 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     step = 0
 
     opt_model = AdamW(model.trainable_params(), plan.lr_model)
-    opt_wn = AdamW(weightnet.trainable_params(), plan.lr_weightnet)
+    opt_wn = AdamW(weightnet.trainable_params(), LR_WEIGHTNET)
 
     total_main = max(1, plan.fm_steps + plan.fmsd_steps + plan.cfg_steps)
 
     def decay(i: int) -> float:
         frac = min(i, total_main) / total_main
-        return plan.lr_floor + (1.0 - plan.lr_floor) * 0.5 * (1.0 + math.cos(math.pi * frac))
+        return LR_FLOOR + (1.0 - LR_FLOOR) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
     def update(loss: Tensor, phase: str, *opts: AdamW):
         """Abort on a non-finite loss, else one gradient over every
@@ -337,7 +330,7 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     def fm_step() -> list:
         """Phase 1: flow matching on a diagonal pair at the finest grid."""
         batch = task.sample(plan.batch_size, rng)
-        pair = fm_pair(plan.grid, rng)
+        pair = fm_pair(GRID, rng)
         loss = fm_loss(model, batch.x0, batch.x1, pair.t_value, COND_NULL)
         opt_model.lr = plan.lr_model * decay(step)
         update(loss, "fm", opt_model)
@@ -347,8 +340,8 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
         """Phases 2 and 3: the combined objective, then with guidance."""
         use_cfg = phase == "cfg"
         batch = task.sample(plan.batch_size, rng, with_negative=use_cfg)
-        pair = sample_pair(plan.setting, plan.grid, rng)
-        ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob) \
+        pair = sample_pair(plan.setting, GRID, rng)
+        ctx = draw_guidance(rng, W_MAX, COND_POSITIVE, plan.drop_prob) \
             if use_cfg else None
         breakdown = combined_loss(model, weightnet, batch.x0, batch.x1, pair,
                                   plan.setting, ctx=ctx,
@@ -356,7 +349,7 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
                                   use_perceptual=use_perc)
         total = breakdown.weighted_total
         opt_model.lr = plan.lr_model * decay(step)
-        opt_wn.lr = plan.lr_weightnet * decay(step)
+        opt_wn.lr = LR_WEIGHTNET * decay(step)
         update(total, phase, opt_model, opt_wn)
         return [str(step), phase, _fmt(breakdown.main.item()),
                 _fmt(breakdown.perceptual.item()), _fmt(total.item()),
@@ -366,7 +359,7 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
         """Phase 4: the discriminator alone while ``pretrain``, else the
         adapters and then the discriminator."""
         batch = task.sample(plan.batch_size, rng, with_negative=True)
-        ctx = draw_guidance(rng, plan.w_max, COND_POSITIVE, plan.drop_prob)
+        ctx = draw_guidance(rng, W_MAX, COND_POSITIVE, plan.drop_prob)
         g_cell = ""
         if pretrain:
             # the discriminator alone learns: no generator tape, no g_loss
@@ -374,13 +367,13 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
                 fake = two_step_prediction(model, batch.x1, ctx.cond)
             d_loss = disc_loss(disc, disc(Tensor(batch.x0)), fake)
         else:
-            pair = sample_pair(plan.setting, plan.grid, rng)
+            pair = sample_pair(plan.setting, GRID, rng)
             objective = combined_loss(
                 model, weightnet, batch.x0, batch.x1, pair, plan.setting, ctx=ctx,
                 x0_neg=batch.x0_neg, image_hw=task.image_hw,
-                use_perceptual=use_perc).weighted_total if plan.lambda_adv > 0.0 else None
+                use_perceptual=use_perc).weighted_total
             g_loss, d_loss = rpgan_losses(model, disc, batch.x0, batch.x1, ctx,
-                                          plan.lambda_adv, objective)
+                                          LAMBDA_ADV, objective)
             update(g_loss, "adv", opt_lora)
             g_cell = _fmt(g_loss.item())
             del g_loss, objective  # frees the generator tape: d_loss does not reach it
@@ -403,12 +396,11 @@ def train(plan: PhasePlan, task, seed: int = 0) -> TrainResult:
     if plan.adv_steps > 0:
         disc = Discriminator(task.state_dim, rng=np.random.default_rng(seed + 3))
         model.attach_lora(plan.lora_rank, np.random.default_rng(seed + 4))
-        model.lora_train_scale = plan.lora_train_scale
         model.set_trunk_trainable(False)
         for p in weightnet.params.values():  # the weighting head is fixed too
             p.requires_grad = False
         opt_lora = AdamW(model.lora_params(), plan.lr_model)
-        opt_disc = AdamW(disc.trainable_params(), plan.lr_disc)
+        opt_disc = AdamW(disc.trainable_params(), LR_DISC)
         for i in range(plan.d_pretrain_steps + plan.adv_steps):
             rows.append(adv_step(i < plan.d_pretrain_steps))
             step += 1
@@ -484,27 +476,30 @@ def save_result(path, result: TrainResult, task_name: str) -> None:
         "time_dim": result.model.time_dim,
         "cond_dim": result.model.cond_dim,
         "lora_rank": 0 if result.model.lora is None else result.plan.lora_rank,
-        "d_max": result.plan.grid.d_max,
+        "d_max": GRID.d_max,
     }
     save_checkpoint(path, checkpoint_tensors(result), meta)
 
 
 def load_model(path) -> tuple[FlowMapModel, dict]:
-    """Rebuild the model from a checkpoint's metadata and load its tensors.
+    """Rebuild the model from a checkpoint's metadata and load its tensors;
+    the metadata comes back with its integer keys as ints.
 
-    A missing or non-integer size key, a missing or unexpected ``model.*``
-    tensor, or a tensor whose shape differs from the rebuilt model's
-    parameter is refused with a ``ValueError`` naming the file.
+    A missing ``task``, a missing or non-integer size, ``lora_rank`` or
+    ``d_max``, a missing or unexpected ``model.*`` tensor, or a tensor
+    whose shape differs from the rebuilt model's parameter is refused with
+    a ``ValueError`` naming the file.
     """
     tensors, meta = load_checkpoint(path)
-    sizes, dims = {"lora_rank": "0", **meta}, {}
-    for key in ("state_dim", "hidden", "depth", "time_dim", "cond_dim", "lora_rank"):
-        if key not in sizes:
+    dims = {}
+    for key in ("task", "state_dim", "hidden", "depth", "time_dim", "cond_dim", "lora_rank",
+                "d_max"):
+        if key not in meta:
             raise ValueError(f"{path}: checkpoint metadata has no {key!r}")
         try:
-            dims[key] = int(sizes[key])
+            dims[key] = meta[key] if key == "task" else int(meta[key])
         except ValueError:
-            raise ValueError(f"{path}: checkpoint metadata {key}={sizes[key]!r} "
+            raise ValueError(f"{path}: checkpoint metadata {key}={meta[key]!r} "
                              "is not an integer") from None
     model = FlowMapModel(dims["state_dim"], hidden=dims["hidden"], depth=dims["depth"],
                          time_dim=dims["time_dim"], cond_dim=dims["cond_dim"])
@@ -523,4 +518,4 @@ def load_model(path) -> tuple[FlowMapModel, dict]:
                              f"{tensors[name].shape}, the model built from its metadata "
                              f"needs {p.data.shape}")
         p.data = tensors[name]
-    return model, meta
+    return model, {**meta, **dims}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import configparser
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from flowmaplab.cli import main, plan_from_config, task_from_config
 from flowmaplab.io import load_checkpoint, save_checkpoint
 from flowmaplab.runtime import PhasePlan
-from flowmaplab.schedule import GridConfig
 from flowmaplab.data import load_pgm
 
 TINY_CFG = """\
@@ -151,9 +151,21 @@ def test_oracle_check_subcommand(tmp_path, capsys):
 
 
 def test_oracle_check_covers_end_intervals(capsys):
-    # seed 36 draws lsd/esd probes whose central stencil would leave [0, 1]
+    # seed 36 draws an esd probe with t within 3e-5 of 1; the closed-form
+    # tangents hold there to rounding, like every identity
     assert main(["oracle-check", "--seed", "36"]) == 0
-    assert capsys.readouterr().out.count(" ok\n") == 4
+    assert capsys.readouterr().out.count(" (tol 1e-10) ok\n") == 4
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_oracle_check_holds_to_rounding(seed, capsys):
+    # the one tolerance sits orders above the exact oracle's residuals
+    # (at most 1e-12 on these seeds) on every identity
+    assert main(["oracle-check", "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" (tol 1e-10) ok\n") == 4
+    residuals = [float(line.split()[3]) for line in out.splitlines()]
+    assert max(residuals) < 1e-12
 
 
 @pytest.mark.parametrize("probes", ["0", "-3"])
@@ -216,6 +228,40 @@ def test_checkpoint_of_a_removed_task_is_refused(trained, tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m.pop("task"), "checkpoint metadata has no 'task'"),
+    (lambda m: m.pop("d_max"), "checkpoint metadata has no 'd_max'"),
+    (lambda m: m.update(d_max="abc"), "checkpoint metadata d_max='abc' is not an integer"),
+], ids=["missing-task", "missing-d_max", "non-integer-d_max"])
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_checkpoint_without_its_metadata_is_refused(trained, tmp_path, capsys, command,
+                                                     edit, message):
+    # sample and eval read task and d_max as written, never a default
+    tensors, meta = load_checkpoint(trained / "model.ckpt")
+    edit(meta)
+    ckpt = tmp_path / "bare.ckpt"
+    save_checkpoint(ckpt, tensors, meta)
+    out = tmp_path / "samples"
+    extra = ["--out", str(out)] if command == "sample" else []
+    assert main([command, "--checkpoint", str(ckpt), "--n", "4"] + extra) == 1
+    captured = capsys.readouterr()
+    assert f"{ckpt}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_readme_config_is_one_the_cli_reads():
+    # the README's plan.ini, built as `train` builds it: a documented key
+    # that stops existing fails here
+    block = re.search(r"cat > plan\.ini <<'EOF'\n(.*?)\nEOF\n",
+                      (SRC.parent / "README.md").read_text(), re.S)
+    assert block, "README.md has no plan.ini block"
+    cp = configparser.ConfigParser()
+    cp.read_string(block[1])
+    assert plan_from_config(cp).setting == cp["train"]["setting"]
+    assert task_from_config(cp).name == cp["train"]["task"]
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["bogus"]) == 1
@@ -232,21 +278,14 @@ class TestExitCodes:
         # a value off each scalar field's default that a plan accepts, typed
         # as its annotation (+2 keeps time_dim even)
         off = {"int": lambda v: v + 2, "float": lambda v: v / 2, "str": lambda v: "esd"}
-        want = {f.name: off[f.type](f.default) for f in dataclasses.fields(PhasePlan)
-                if f.type in off}
-        assert {"lr_floor", "setting", "fm_steps", "w_max"} <= set(want)
+        want = {f.name: off[f.type](f.default) for f in dataclasses.fields(PhasePlan)}
+        assert {"lr_model", "setting", "fm_steps", "drop_prob"} <= set(want)
         assert want["setting"] != PhasePlan().setting
         cp = configparser.ConfigParser()
         cp.read_string("[train]\n" + "".join(f"{k} = {v}\n" for k, v in want.items()))
         plan = plan_from_config(cp)
         assert {k: getattr(plan, k) for k in want} == want
         assert all(type(getattr(plan, k)) is type(v) for k, v in want.items())
-
-    @pytest.mark.parametrize("keys", ["d_max = 5\np_fm = 0.5\n", "p_fm = 0.5\nd_max = 5\n"])
-    def test_grid_keys_land_in_the_plan_grid(self, keys):
-        cp = configparser.ConfigParser()
-        cp.read_string("[train]\n" + keys)
-        assert plan_from_config(cp).grid == GridConfig(d_max=5, p_fm=0.5)
 
     @pytest.mark.parametrize("cfg_text,expected", [
         ("[train]\nwarp_factor = 9\n", "unknown [train] key 'warp_factor'"),
@@ -258,7 +297,20 @@ class TestExitCodes:
         (TINY_CFG + "[eval]\nn = 4\n", "unknown config section [eval]"),
         ("[DEFAULT]\nfm_steps = 1\n", "unknown config section [DEFAULT]"),
         ("[DEFAULT]\nfm_steps = 1\n" + TINY_CFG, "unknown config section [DEFAULT]"),
-    ], ids=["key", "kind", "toy2d", "trian", "eval", "default", "default-and-train"])
+        # the recipe's fixed values are constants, so an old config naming
+        # one is refused rather than silently run at the constant
+        (TINY_CFG + "lr_weightnet = 1e-4\n", "unknown [train] key 'lr_weightnet'"),
+        (TINY_CFG + "lr_disc = 0\n", "unknown [train] key 'lr_disc'"),
+        (TINY_CFG + "lr_floor = -1\n", "unknown [train] key 'lr_floor'"),
+        (TINY_CFG + "w_max = 0.5\n", "unknown [train] key 'w_max'"),
+        (TINY_CFG + "lambda_adv = -2\n", "unknown [train] key 'lambda_adv'"),
+        (TINY_CFG + "lora_train_scale = nan\n", "unknown [train] key 'lora_train_scale'"),
+        (TINY_CFG + "d_max = 0\n", "unknown [train] key 'd_max'"),
+        (TINY_CFG + "d_max = 54\n", "unknown [train] key 'd_max'"),
+        (TINY_CFG + "p_fm = 1.0\n", "unknown [train] key 'p_fm'"),
+    ], ids=["key", "kind", "toy2d", "trian", "eval", "default", "default-and-train",
+            "lr_weightnet", "lr_disc", "lr_floor", "w_max", "lambda_adv", "lora_train_scale",
+            "d_max-0", "d_max-54", "p_fm"])
     def test_unknown_config_name_is_one(self, tmp_path, capsys, cfg_text, expected):
         # refused before the output directory is made
         cfg = tmp_path / "bad.ini"
@@ -279,18 +331,10 @@ class TestExitCodes:
         (TINY_CFG.replace("batch_size = 8", "batch_size = 0"), "batch_size"),
         (TINY_CFG + "lora_rank = 0\n", "lora_rank"),
         (TINY_CFG + "drop_prob = 1.5\n", "drop_prob"),
-        (TINY_CFG + "w_max = 0.5\n", "w_max"),
-        (TINY_CFG + "lr_floor = -1\n", "lr_floor"),
-        (TINY_CFG + "lambda_adv = -2\n", "lambda_adv"),
-        (TINY_CFG + "lr_disc = 0\n", "lr_disc"),
         (TINY_CFG.replace("hidden = 16", "hidden = 0"), "hidden"),
         (TINY_CFG.replace("depth = 2", "depth = -1"), "depth"),
         (TINY_CFG.replace("time_dim = 8", "time_dim = 3"), "time_dim"),
         (TINY_CFG.replace("cond_dim = 4", "cond_dim = -1"), "cond_dim"),
-        (TINY_CFG + "lora_train_scale = nan\n", "lora_train_scale"),
-        (TINY_CFG + "d_max = 0\n", "d_max"),
-        (TINY_CFG + "d_max = 54\n", "d_max"),
-        (TINY_CFG + "p_fm = 1.0\n", "p_fm"),
         (TINY_CFG + "size = 12\n", "size"),  # a texture_sr key
         (TINY_CFG.replace("gaussian2d", "texture_sr") + "size = 12\n", "size"),
     ])

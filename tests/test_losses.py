@@ -39,7 +39,7 @@ class OracleModel:
         self.task = task
         self.eval_count = 0
 
-    def __call__(self, x, s, t, cond, lora_scale=None):
+    def __call__(self, x, s, t, cond, lora_scale=1.0):
         self.eval_count += 1
         x, s, t = ad.as_tensor(x), ad.as_tensor(s), ad.as_tensor(t)
         seeded = any(a.tangent is not None for a in (x, s, t))

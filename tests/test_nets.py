@@ -179,6 +179,18 @@ class TestLora:
         np.testing.assert_array_equal(off, base)
         assert not np.array_equal(on, base)
 
+    def test_adapter_scale_is_an_argument(self):
+        # the default scale is 1, and the model holds no scale of its own
+        rng = np.random.default_rng(11)
+        model = FlowMapModel(2, hidden=16, depth=2, rng=rng)
+        model.attach_lora(2, rng)
+        for a in model.lora.values():
+            a.A.data += 0.1 * rng.standard_normal(a.A.shape)
+        x = rng.normal(size=(3, 2))
+        np.testing.assert_array_equal(model(x, 0.0, 1.0, COND_NULL).data,
+                                      model(x, 0.0, 1.0, COND_NULL, lora_scale=1.0).data)
+        assert not hasattr(model, "lora_train_scale")
+
     @pytest.mark.parametrize("rank", [0, 4])
     def test_one_tape_node_per_layer(self, rank, monkeypatch):
         # the condition row and the context concat, then one fused node for
